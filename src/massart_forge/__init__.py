@@ -51,6 +51,5 @@ from .sqlab import (
     learner_chow,
     learner_constant,
     near_orthogonal_set,
-    oracle_answer,
 )
 from .verification import build_verification_report

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, serialize
-from .errors import MassartForgeError
+from .errors import MassartForgeError, RangeError
 from .hardpair import build_hard_pair, density_curve
 from .instance import make_instance, opt_error, random_unit_vector, sample_labeled
 from .planner import Constants, desk_config, plan
@@ -33,9 +33,12 @@ RNG_NAME = "numpy default_rng (PCG64)"
 def thread_cap() -> int:
     raw = os.environ.get("MASSART_FORGE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        raise RangeError(f"MASSART_FORGE_THREADS = {raw!r} must be an integer >= 1")
+    return cap
 
 
 def _utc_now() -> str:
@@ -400,6 +403,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        thread_cap()  # reject a bad MASSART_FORGE_THREADS before any output
         if args.command == "plan":
             return _cmd_plan(args)
         if args.command == "gen":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -21,7 +20,6 @@ from .errors import DensityGapError, RangeError
 from .hardpair import HardPair, IntervalUnion, mass_in, sample
 
 __all__ = [
-    "LabeledSample",
     "MassartInstance",
     "make_instance",
     "build_interval_polynomial",
@@ -33,11 +31,6 @@ __all__ = [
     "ptf_sign",
     "random_unit_vector",
 ]
-
-
-class LabeledSample(NamedTuple):
-    x: np.ndarray
-    y: int
 
 
 def build_interval_polynomial(region: IntervalUnion) -> np.ndarray:

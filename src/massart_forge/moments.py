@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .ddcore import comb_gaussian_moments, comb_moment_discrepancies
+from .ddcore import _double_factorial, comb_gaussian_moments, comb_moment_discrepancies
 from .errors import MassartForgeError, MomentRangeError
 from .hardpair import (
     HardPair,
@@ -45,14 +45,6 @@ __all__ = [
 ]
 
 K_MAX = 64
-
-
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def gaussian_moment(t: int) -> float:

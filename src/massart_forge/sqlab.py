@@ -33,7 +33,6 @@ __all__ = [
     "SQQuery",
     "OracleConfig",
     "SQOracle",
-    "oracle_answer",
     "NullDistribution",
     "InstanceDistribution",
     "constant_query",
@@ -56,29 +55,26 @@ CLIP_RADIUS = 6.0  # moment queries clip the projection at 6 sigma; the
 
 @dataclass(frozen=True)
 class SQQuery:
-    """A bounded query function (x, y) -> [-1, 1].
+    """A bounded query phi(x, y) = g(x . directions^T, y), clipped to [-1, 1].
+
+    Every query reads x only through its projections T onto the rows of
+    ``directions`` (no rows for a query that ignores x); a query that needs
+    all of x uses the identity, for which T = x.  The oracle therefore only
+    ever samples the joint law of (T, y), which is distributionally
+    identical to sampling full examples and projecting them.
 
     ``exact`` optionally computes the true expectation for a given
     distribution object; queries without one fall back to certified Monte
     Carlo in adversarial mode.
-
-    Queries that read x only through a few fixed directions can say so via
-    ``directions`` (rows) and ``proj_evaluator``; the honest oracle then
-    samples just the joint law of those projections and the label, which is
-    distributionally identical to sampling full examples and projecting.
     """
 
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    directions: np.ndarray
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     description: str
-    exact: Callable[[object], float] | None = None
-    directions: np.ndarray | None = None
-    proj_evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    exact: Callable[[object], float | None] | None = None
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.clip(self.evaluator(x, y), -1.0, 1.0)
-
-    def evaluate_projected(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.clip(self.proj_evaluator(t, y), -1.0, 1.0)
+    def evaluate(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.clip(self.g(t, y), -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,9 @@ class InstanceDistribution:
         uv = directions @ instance.v
         sigma = directions @ directions.T - np.outer(uv, uv)
         root = _covariance_root(sigma)
-        return t[:, None] * uv[None, :] + rng.standard_normal((n, k)) @ root.T, y
+        out = rng.standard_normal((n, k)) @ root.T
+        out += np.multiply.outer(t, uv)  # one (n, k) buffer for the result
+        return out, y
 
     def true_expectation(self, query: SQQuery) -> float | None:
         return query.exact(self) if query.exact is not None else None
@@ -214,23 +212,12 @@ class SQOracle:
         return self.adversary(true, null_val, self.config.tau)
 
     def _empirical_mean(self, query: SQQuery, n: int) -> float:
-        projected = (
-            query.directions is not None
-            and query.proj_evaluator is not None
-            and hasattr(self.distribution, "sample_projected")
-        )
         total = 0.0
         remaining = n
         while remaining > 0:
             chunk = min(remaining, 1 << 19)
-            if projected:
-                t, y = self.distribution.sample_projected(
-                    self.rng, chunk, query.directions
-                )
-                total += float(np.sum(query.evaluate_projected(t, y)))
-            else:
-                x, y = self.distribution.sample_xy(self.rng, chunk)
-                total += float(np.sum(query.evaluate(x, y)))
+            t, y = self.distribution.sample_projected(self.rng, chunk, query.directions)
+            total += float(np.sum(query.evaluate(t, y)))
             remaining -= chunk
         return total / n
 
@@ -238,17 +225,6 @@ class SQOracle:
         # 4 sigma <= tau/4 for a [-1,1] query needs (16/tau)^2 samples
         n = math.ceil((16.0 / self.config.tau) ** 2)
         return self._empirical_mean(query, n)
-
-
-def oracle_answer(
-    query: SQQuery,
-    distribution,
-    config: OracleConfig,
-    rng: np.random.Generator,
-    null_reference: NullDistribution | None = None,
-) -> float:
-    """One-shot form of SQOracle.answer for a fresh oracle."""
-    return SQOracle(distribution, config, rng, null_reference).answer(query)
 
 
 # ---------------------------------------------------------------- queries
@@ -259,21 +235,19 @@ _NO_DIRECTIONS = np.empty((0, 0))
 
 def constant_query() -> SQQuery:
     return SQQuery(
-        evaluator=lambda x, y: np.ones(len(y)),
-        description="constant 1",
+        _NO_DIRECTIONS,
+        lambda t, y: np.ones(len(y)),
+        "constant 1",
         exact=lambda dist: 1.0,
-        directions=_NO_DIRECTIONS,
-        proj_evaluator=lambda t, y: np.ones(len(y)),
     )
 
 
 def label_mean_query() -> SQQuery:
     return SQQuery(
-        evaluator=lambda x, y: y.astype(float),
-        description="E[y]",
+        _NO_DIRECTIONS,
+        lambda t, y: y.astype(float),
+        "E[y]",
         exact=lambda dist: 2.0 * dist.p - 1.0,
-        directions=_NO_DIRECTIONS,
-        proj_evaluator=lambda t, y: y.astype(float),
     )
 
 
@@ -299,17 +273,11 @@ def _signed_projection_moment(dist, u: np.ndarray, j: int) -> float:
 def projected_moment_query(u: np.ndarray, j: int, radius: float = CLIP_RADIUS) -> SQQuery:
     """phi(x, y) = y * clip(<u, x>, -R, R)^j / R^j, a bounded moment probe."""
     u = np.asarray(u, dtype=float)
-
-    def evaluator(x, y):
-        t = np.clip(x @ u, -radius, radius)
-        return y * (t / radius) ** j
-
     return SQQuery(
-        evaluator=evaluator,
-        description=f"y*<u,x>^{j}/R^{j}",
+        u[None, :],
+        lambda t, y: y * (np.clip(t[:, 0], -radius, radius) / radius) ** j,
+        f"y*<u,x>^{j}/R^{j}",
         exact=lambda dist: _signed_projection_moment(dist, u, j) / radius**j,
-        directions=u[None, :],
-        proj_evaluator=lambda t, y: y * (np.clip(t[:, 0], -radius, radius) / radius) ** j,
     )
 
 
@@ -334,11 +302,10 @@ def projected_indicator_query(u: np.ndarray, region: IntervalUnion) -> SQQuery:
         ) * mass_in(instance.pair.B, flipped)
 
     return SQQuery(
-        evaluator=lambda x, y: region.contains(x @ u).astype(float),
-        description="1[<u,x> in region]",
+        u[None, :],
+        lambda t, y: region.contains(t[:, 0]).astype(float),
+        "1[<u,x> in region]",
         exact=exact,
-        directions=u[None, :],
-        proj_evaluator=lambda t, y: region.contains(t[:, 0]).astype(float),
     )
 
 
@@ -427,24 +394,13 @@ def _monomial_query(alpha: tuple[int, ...]) -> SQQuery:
     for row, i in enumerate(touched):
         dirs[row, i] = 1.0
 
-    def evaluator(x, y):
-        col = y.astype(float)
-        for i, a in zip(touched, powers):
-            col = col * np.clip(x[:, i], -CLIP_RADIUS, CLIP_RADIUS) ** a
-        return col / CLIP_RADIUS**deg
-
-    def proj_evaluator(t, y):
+    def g(t, y):
         col = y.astype(float)
         for row, a in enumerate(powers):
             col = col * np.clip(t[:, row], -CLIP_RADIUS, CLIP_RADIUS) ** a
         return col / CLIP_RADIUS**deg
 
-    return SQQuery(
-        evaluator=evaluator,
-        description=f"y*x^{alpha}",
-        directions=dirs,
-        proj_evaluator=proj_evaluator,
-    )
+    return SQQuery(dirs, g, f"y*x^{alpha}")
 
 
 def learner_chow(oracle: SQOracle, basis_degree: int) -> Hypothesis:
@@ -456,7 +412,8 @@ def learner_chow(oracle: SQOracle, basis_degree: int) -> Hypothesis:
     candidate.  Candidates sweep the functional's guaranteed range
     [-sum|c|, sum|c|], whose extremes recover the constant hypotheses, so
     the learner never does worse than the better constant by more than
-    query accuracy.
+    query accuracy.  The threshold queries read all of x through identity
+    directions, so the same f_values serves them and the final predictor.
     """
     m = oracle.distribution.m
     exponents = _monomial_exponents(m, basis_degree)
@@ -480,12 +437,14 @@ def learner_chow(oracle: SQOracle, basis_degree: int) -> Hypothesis:
             out += col / CLIP_RADIUS ** sum(alpha)
         return out
 
+    identity = np.eye(m)
     best_theta, best_err = 0.0, math.inf
     for theta in np.linspace(-scale, scale, 9):
         err = oracle.answer(
             SQQuery(
-                lambda x, y, theta=theta: (
-                    np.where(f_values(x) - theta >= 0.0, 1, -1) != y
+                identity,
+                lambda t, y, theta=theta: (
+                    np.where(f_values(t) - theta >= 0.0, 1, -1) != y
                 ).astype(float),
                 f"err(theta={theta:.4g})",
             )
@@ -613,7 +572,7 @@ def distinguishing_experiment(
             max_moment_gap = max(max_moment_gap, run(projected_moment_query(u, j)))
 
     learner_errors: dict[str, float] = {}
-    x_hold, y_hold = sample_labeled(instance, rng_holdout, holdout)
+    x_hold, y_hold = dist_dv.sample_xy(rng_holdout, holdout)
     for name in learners:
         child = np.random.default_rng(root.spawn(1)[0])
         honest = OracleConfig(

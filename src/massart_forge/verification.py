@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import moments
+from .errors import MassartForgeError
 from .hardpair import HardPairConfig, IntervalUnion, build_hard_pair, mass_in, total_mass
 from .instance import (
     make_instance,
@@ -83,7 +84,7 @@ def _moment_section(pair, k: int) -> dict:
     try:
         report = moments.moment_discrepancy_report(pair, k)
         bound_ok = True
-    except Exception:
+    except MassartForgeError:
         report = None
         bound_ok = False
 

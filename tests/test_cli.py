@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from massart_forge import moments, verification
 from massart_forge.cli import main
+from massart_forge.errors import MassartForgeError
 
 
 def run(argv):
@@ -101,3 +105,33 @@ def test_experiment_single_learner(tmp_path):
     for key in ("nu", "rho", "alpha_chi", "N_bound", "tau", "queries_used", "gaps",
                 "learner_errors", "seeds"):
         assert key in report
+
+
+@pytest.mark.parametrize("raw", ["two", "1.5", "0", "-3"])
+def test_bad_thread_cap_exits_2_before_output(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("MASSART_FORGE_THREADS", raw)
+    out = tmp_path / "plan.json"
+    code = run(["plan", "--log-M", "1e4", "--zeta-exp", "0.5", "--eta", "0.49", "--out", out])
+    assert code == 2
+    assert "MASSART_FORGE_THREADS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pair):
+    def refuse(pair, k):
+        raise MassartForgeError("shift bound not certified")
+
+    monkeypatch.setattr(moments, "moment_discrepancy_report", refuse)
+    section = verification._moment_section(desk_pair, 4)
+    assert section["shift_bound_ok"] is False
+    assert section["pass"] is False
+
+    def crash(pair, k):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(moments, "moment_discrepancy_report", crash)
+    with pytest.raises(RuntimeError):
+        verification._moment_section(desk_pair, 4)
+    # through the CLI the fault exits 1 as an internal error, not a failed check
+    assert run(["verify", "--report", tmp_path / "r.json"]) == 1
+    assert not (tmp_path / "r.json").exists()

@@ -6,7 +6,7 @@ import pytest
 from massart_forge import moments, sqlab
 from massart_forge.errors import DirectionSetError, QueryBudgetError, RangeError
 from massart_forge.hardpair import build_hard_pair
-from massart_forge.instance import make_instance, sample_labeled
+from massart_forge.instance import make_instance, ptf_sign, sample_labeled
 from massart_forge.planner import desk_config
 
 
@@ -22,14 +22,14 @@ def planted():
 def test_constant_query_honest(rng):
     config = sqlab.OracleConfig(tau=0.05)
     null = sqlab.NullDistribution(m=4, p=0.9)
-    answer = sqlab.oracle_answer(sqlab.constant_query(), null, config, rng)
+    answer = sqlab.SQOracle(null, config, rng).answer(sqlab.constant_query())
     assert abs(answer - 1.0) <= 0.05
 
 
 def test_label_mean_query_honest(rng):
     config = sqlab.OracleConfig(tau=0.05)
     null = sqlab.NullDistribution(m=4, p=0.9)
-    answer = sqlab.oracle_answer(sqlab.label_mean_query(), null, config, rng)
+    answer = sqlab.SQOracle(null, config, rng).answer(sqlab.label_mean_query())
     assert abs(answer - 0.8) <= 0.05
 
 
@@ -76,9 +76,19 @@ def test_moment_query_closed_form_vs_monte_carlo(planted, rng):
         query = sqlab.projected_moment_query(directions[1], j)
         exact = dist.true_expectation(query)
         x, y = dist.sample_xy(rng, 1_000_000)
-        vals = query.evaluate(x, y)
+        vals = query.evaluate(x @ query.directions.T, y)
         sigma = float(vals.std()) / math.sqrt(len(vals))
         assert abs(float(vals.mean()) - exact) <= 4.0 * sigma + 1e-6
+
+
+def _threshold_query(instance) -> sqlab.SQQuery:
+    """Error of the optimal polynomial threshold rule, reading all of x
+    through identity directions as Chow's threshold queries do."""
+    return sqlab.SQQuery(
+        np.eye(instance.m),
+        lambda t, y: (ptf_sign(instance, t) != y).astype(float),
+        "ptf error",
+    )
 
 
 def test_projected_sampler_matches_full(planted):
@@ -86,9 +96,33 @@ def test_projected_sampler_matches_full(planted):
     dist = sqlab.InstanceDistribution(instance)
     query = sqlab.projected_moment_query(directions[2], 2)
     t, y = dist.sample_projected(np.random.default_rng(5), 500_000, query.directions)
-    proj_mean = float(query.evaluate_projected(t, y).mean())
+    proj_mean = float(query.evaluate(t, y).mean())
     x, y2 = dist.sample_xy(np.random.default_rng(6), 500_000)
-    full_mean = float(query.evaluate(x, y2).mean())
+    full_mean = float(query.evaluate(x @ query.directions.T, y2).mean())
+    assert abs(proj_mean - full_mean) <= 5e-3
+
+
+@pytest.mark.parametrize("law", ["planted", "null"])
+@pytest.mark.parametrize("shape", ["moment", "cross_monomial", "identity"])
+def test_projected_sampler_matches_full_by_shape(planted, law, shape):
+    pair, instance, directions = planted
+    if law == "planted":
+        dist = sqlab.InstanceDistribution(instance)
+    else:
+        dist = sqlab.NullDistribution(instance.m, instance.p)
+    if shape == "moment":
+        query = sqlab.projected_moment_query(directions[2], 2)
+    elif shape == "cross_monomial":
+        alpha = tuple(int(i in (0, 3)) for i in range(instance.m))
+        query = sqlab._monomial_query(alpha)
+    else:
+        query = _threshold_query(instance)
+    rows = {"moment": 1, "cross_monomial": 2, "identity": instance.m}[shape]
+    assert query.directions.shape == (rows, instance.m)
+    t, y = dist.sample_projected(np.random.default_rng(5), 500_000, query.directions)
+    proj_mean = float(query.evaluate(t, y).mean())
+    x, y2 = dist.sample_xy(np.random.default_rng(6), 500_000)
+    full_mean = float(query.evaluate(x @ query.directions.T, y2).mean())
     assert abs(proj_mean - full_mean) <= 5e-3
 
 
@@ -150,6 +184,10 @@ class _RealizableLinear:
         x = rng.standard_normal((n, self.m))
         y = np.where(x[:, 0] >= 0.0, 1, -1)
         return x, y
+
+    def sample_projected(self, rng, n, directions):
+        x, y = self.sample_xy(rng, n)
+        return x @ directions.T, y
 
 
 def test_learner_chow_realizable(rng):
