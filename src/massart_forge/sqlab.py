@@ -2,19 +2,23 @@
 baseline SQ learners, and the distinguishing experiment.
 
 The oracle answers expectations of bounded functions to accuracy tau.
-Honest mode averages the query over ceil(C/tau^2) fresh samples, which a
-Chernoff bound keeps within tau except with probability < 1e-3 per query.
-Adversarial mode answers the true expectation (closed form where the query
-supports one, otherwise Monte Carlo certified to tau/4) plus a
-deterministic perturbation of magnitude at most tau; the default adversary
-rounds toward the null distribution's value, the least informative answer.
+Honest mode answers a non-adaptive batch of q queries (fixed before any of
+their answers is seen) from one shared sample of ceil((C + 2 ln q)/tau^2)
+rows; Hoeffding and a union bound over the batch keep all q answers within
+tau except with probability <= 2e^(-C/2) (6.7e-4 at C = 16).  A single
+query is a batch of one, so q = 1 gives ceil(C/tau^2) rows per query.
+Adversarial mode answers each query's true expectation (closed form where
+the query supports one, otherwise Monte Carlo certified to tau/4) plus a
+deterministic perturbation of magnitude at most tau minus the certificate's
+tau/4 when Monte Carlo supplied the truth; the default adversary rounds
+toward the null distribution's value, the least informative answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,6 +55,7 @@ __all__ = [
 CLIP_RADIUS = 6.0  # moment queries clip the projection at 6 sigma; the
 # clipped-tail bias (< 1e-6 for degree <= 4) is folded into the oracle's
 # tau guarantee.
+_NO_DIRECTIONS = np.empty((0, 0))  # rows of a query that ignores x
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,14 @@ class SQQuery:
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """Accuracy tau, answering mode, and the honest sizing constant C.
+
+    An honest batch of q queries draws ceil((C + 2 ln q)/tau^2) shared rows,
+    enough for all q answers to lie within tau except with probability
+    <= 2e^(-C/2); q = 1 gives ceil(C/tau^2).  ``query_budget`` caps the
+    total number of queries one oracle answers.
+    """
+
     tau: float
     mode: str = "honest"  # "honest" or "adversarial"
     sample_constant: float = 16.0
@@ -90,9 +103,8 @@ class OracleConfig:
         if self.mode not in ("honest", "adversarial"):
             raise RangeError(f"unknown oracle mode {self.mode!r}")
 
-    @property
-    def samples_per_query(self) -> int:
-        return math.ceil(self.sample_constant / self.tau**2)
+    def samples_per_batch(self, q: int) -> int:
+        return math.ceil((self.sample_constant + 2.0 * math.log(q)) / self.tau**2)
 
 
 def _covariance_root(sigma: np.ndarray) -> np.ndarray:
@@ -193,44 +205,82 @@ class SQOracle:
         self.queries_used = 0
 
     def answer(self, query: SQQuery) -> float:
-        if self.queries_used >= self.config.query_budget:
+        return self.answer_batch([query])[0]
+
+    def answer_batch(self, queries: Sequence[SQQuery]) -> list[float]:
+        """Answers a batch of queries fixed before any answer is seen.
+
+        The whole batch counts against the budget, or none of it does.
+        """
+        queries = list(queries)
+        if self.queries_used + len(queries) > self.config.query_budget:
             raise QueryBudgetError(
-                f"query budget {self.config.query_budget} exhausted"
+                f"query budget {self.config.query_budget} exhausted: "
+                f"{self.queries_used} used, {len(queries)} asked"
             )
-        self.queries_used += 1
+        self.queries_used += len(queries)
+        if not queries:
+            return []
         if self.config.mode == "honest":
-            return self._empirical_mean(query, self.config.samples_per_query)
+            return self._empirical_means(queries, self.config.samples_per_batch(len(queries)))
+        return [self._adversarial_answer(query) for query in queries]
+
+    def _adversarial_answer(self, query: SQQuery) -> float:
+        tau = self.config.tau
         true = self.distribution.true_expectation(query)
+        budget = tau
         if true is None:
-            true = self._certified_monte_carlo(query)
+            # 4 sigma <= tau/4 for a [-1,1] query needs (16/tau)^2 samples;
+            # the certificate's tau/4 comes out of the adversary's budget
+            true = self._empirical_means([query], math.ceil((16.0 / tau) ** 2))[0]
+            budget = tau - tau / 4.0
+        null_val = true
         if self.null_reference is not None:
             null_val = self.null_reference.true_expectation(query)
             if null_val is None:
                 null_val = true
-        else:
-            null_val = true
-        return self.adversary(true, null_val, self.config.tau)
+        return self.adversary(true, null_val, budget)
 
-    def _empirical_mean(self, query: SQQuery, n: int) -> float:
-        total = 0.0
+    def _empirical_means(self, queries: list[SQQuery], n: int) -> list[float]:
+        """Mean of each query over one shared sample of n rows.
+
+        The queries' direction rows are stacked and deduplicated (first
+        occurrence first), sampled together in chunks of at most 2^19
+        values, and each query is evaluated on its own columns; a query
+        that reads every column in order gets the sampled block itself.
+        """
+        stacked = [query.directions for query in queries if len(query.directions)]
+        directions, columns = _NO_DIRECTIONS, np.empty(0, dtype=np.intp)
+        if stacked:
+            rows = np.vstack(stacked)
+            _, first, inverse = np.unique(
+                rows, axis=0, return_index=True, return_inverse=True
+            )
+            order = np.argsort(first)
+            rank = np.empty(len(order), dtype=np.intp)
+            rank[order] = np.arange(len(order))
+            directions, columns = rows[first[order]], rank[inverse.reshape(-1)]
+        k = len(directions)
+        views: list[np.ndarray | None] = []  # None: the whole block
+        offset = 0
+        for query in queries:
+            cols = columns[offset : offset + len(query.directions)]
+            offset += len(cols)
+            views.append(None if np.array_equal(cols, np.arange(k)) else cols)
+
+        totals = [0.0] * len(queries)
         remaining = n
         while remaining > 0:
-            chunk = min(remaining, 1 << 19)
-            t, y = self.distribution.sample_projected(self.rng, chunk, query.directions)
-            total += float(np.sum(query.evaluate(t, y)))
+            chunk = min(remaining, (1 << 19) // max(k, 1))
+            t, y = self.distribution.sample_projected(self.rng, chunk, directions)
+            for i, (query, cols) in enumerate(zip(queries, views)):
+                block = t if cols is None else t[:, cols]
+                totals[i] += float(np.sum(query.evaluate(block, y)))
             remaining -= chunk
-        return total / n
-
-    def _certified_monte_carlo(self, query: SQQuery) -> float:
-        # 4 sigma <= tau/4 for a [-1,1] query needs (16/tau)^2 samples
-        n = math.ceil((16.0 / self.config.tau) ** 2)
-        return self._empirical_mean(query, n)
+        return [total / n for total in totals]
 
 
 # ---------------------------------------------------------------- queries
-
-
-_NO_DIRECTIONS = np.empty((0, 0))
 
 
 def constant_query() -> SQQuery:
@@ -407,50 +457,62 @@ def learner_chow(oracle: SQOracle, basis_degree: int) -> Hypothesis:
     """Estimates the label-weighted moment of every monomial up to the
     given degree and thresholds the fitted linear functional.
 
-    All interaction with the data goes through the oracle: one coefficient
-    query per monomial, then one misclassification query per threshold
-    candidate.  Candidates sweep the functional's guaranteed range
-    [-sum|c|, sum|c|], whose extremes recover the constant hypotheses, so
-    the learner never does worse than the better constant by more than
-    query accuracy.  The threshold queries read all of x through identity
-    directions, so the same f_values serves them and the final predictor.
+    All interaction with the data goes through the oracle, in two
+    non-adaptive batches: one coefficient query per monomial, then one
+    misclassification query per threshold candidate.  An honest oracle
+    answers each batch of q queries from one shared sample of
+    ceil((C + 2 ln q)/tau^2) rows, all q answers within tau except with
+    probability <= 2e^(-C/2).  Candidates sweep the functional's
+    guaranteed range [-sum|c|, sum|c|], whose extremes recover the constant
+    hypotheses, so the learner never does worse than the better constant
+    by more than query accuracy.  The threshold queries read all of x
+    through identity directions, so the same f_values serves them and the
+    final predictor; within a batch they share one f_values per block.
     """
     m = oracle.distribution.m
     exponents = _monomial_exponents(m, basis_degree)
-
-    coeffs = np.empty(len(exponents))
-    for i, alpha in enumerate(exponents):
-        coeffs[i] = oracle.answer(_monomial_query(alpha))
-
+    coeffs = np.array(oracle.answer_batch([_monomial_query(alpha) for alpha in exponents]))
     scale = float(np.sum(np.abs(coeffs))) + 1e-12  # |f(x)| <= scale pointwise
 
+    # (c / R^|alpha|, [(var, power), ...]) per nonzero coefficient
+    terms = [
+        (c / CLIP_RADIUS ** sum(alpha), [(var, a) for var, a in enumerate(alpha) if a])
+        for c, alpha in zip(coeffs, exponents)
+        if c != 0.0
+    ]
+
     def f_values(x: np.ndarray) -> np.ndarray:
+        columns = np.clip(x, -CLIP_RADIUS, CLIP_RADIUS).T.copy()
         out = np.zeros(len(x))
-        clipped = np.clip(x, -CLIP_RADIUS, CLIP_RADIUS)
-        for c, alpha in zip(coeffs, exponents):
-            if c == 0.0:
-                continue
+        for c, factors in terms:
             col = np.full(len(x), c)
-            for var, a in enumerate(alpha):
-                if a:
-                    col = col * clipped[:, var] ** a
-            out += col / CLIP_RADIUS ** sum(alpha)
+            for var, a in factors:
+                col = col * columns[var] ** a
+            out += col
         return out
 
+    last = [None, None]  # the last sampled block and its scores
+
+    def scores(t: np.ndarray) -> np.ndarray:
+        if last[0] is not t:
+            last[0], last[1] = t, f_values(t)
+        return last[1]
+
     identity = np.eye(m)
-    best_theta, best_err = 0.0, math.inf
-    for theta in np.linspace(-scale, scale, 9):
-        err = oracle.answer(
+    thetas = np.linspace(-scale, scale, 9)
+    errs = oracle.answer_batch(
+        [
             SQQuery(
                 identity,
                 lambda t, y, theta=theta: (
-                    np.where(f_values(t) - theta >= 0.0, 1, -1) != y
+                    np.where(scores(t) - theta >= 0.0, 1, -1) != y
                 ).astype(float),
                 f"err(theta={theta:.4g})",
             )
-        )
-        if err < best_err:
-            best_theta, best_err = theta, err
+            for theta in thetas
+        ]
+    )
+    best_theta = float(thetas[int(np.argmin(errs))])  # the first minimum
 
     return Hypothesis(
         predict=lambda x: np.where(f_values(x) - best_theta >= 0.0, 1, -1),
@@ -547,29 +609,23 @@ def distinguishing_experiment(
     oracle_dv = SQOracle(dist_dv, oracle_config, rng_battery, null_reference=dist_null)
     oracle_null = SQOracle(dist_null, oracle_config, rng_battery, null_reference=dist_null)
 
-    rows: list[dict] = []
-
-    def run(query: SQQuery) -> float:
-        ans_dv = oracle_dv.answer(query)
-        ans_null = oracle_null.answer(query)
-        rows.append(
-            {
-                "description": query.description,
-                "answer_planted": ans_dv,
-                "answer_null": ans_null,
-                "true_planted": dist_dv.true_expectation(query),
-                "true_null": dist_null.true_expectation(query),
-                "gap": abs(ans_dv - ans_null),
-            }
-        )
-        return abs(ans_dv - ans_null)
-
-    planted_gap = run(projected_indicator_query(v, pair.J1))
-    run(label_mean_query())
-    max_moment_gap = 0.0
-    for u in directions:
-        for j in moment_orders:
-            max_moment_gap = max(max_moment_gap, run(projected_moment_query(u, j)))
+    battery = [projected_indicator_query(v, pair.J1), label_mean_query()]
+    battery += [projected_moment_query(u, j) for u in directions for j in moment_orders]
+    answers_dv = oracle_dv.answer_batch(battery)
+    answers_null = oracle_null.answer_batch(battery)
+    rows = [
+        {
+            "description": query.description,
+            "answer_planted": ans_dv,
+            "answer_null": ans_null,
+            "true_planted": dist_dv.true_expectation(query),
+            "true_null": dist_null.true_expectation(query),
+            "gap": abs(ans_dv - ans_null),
+        }
+        for query, ans_dv, ans_null in zip(battery, answers_dv, answers_null)
+    ]
+    planted_gap = rows[0]["gap"]
+    max_moment_gap = max((row["gap"] for row in rows[2:]), default=0.0)
 
     learner_errors: dict[str, float] = {}
     x_hold, y_hold = dist_dv.sample_xy(rng_holdout, holdout)
