@@ -25,7 +25,7 @@ from .hardpair import build_hard_pair, density_curve
 from .instance import make_instance, opt_error, random_unit_vector, sample_labeled
 from .planner import Constants, desk_config, plan
 from .sqlab import OracleConfig, distinguishing_experiment
-from .verification import build_verification_report
+from .verification import SECTIONS, build_verification_report
 
 RNG_NAME = "numpy default_rng (PCG64)"
 
@@ -249,7 +249,7 @@ def _cmd_verify(args) -> int:
         outputs.append(args.report)
     else:
         sys.stdout.write(text)
-    for name in ("construction", "moments", "fourier", "chi_square", "massart", "tsybakov", "lift"):
+    for name in SECTIONS:
         status = "pass" if report[name]["pass"] else "FAIL"
         print(f"verify {name}: {status}", file=sys.stderr)
     _write_manifest(
@@ -271,6 +271,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.seeds < 1:
+        raise RangeError(f"--seeds = {args.seeds} must be at least 1")
     config = desk_config(args.zeta, args.d, args.epsilon)
     oracle_config = OracleConfig(tau=args.tau, mode=args.oracle_mode)
     learners = tuple(s.strip() for s in args.learners.split(",") if s.strip())
@@ -338,6 +340,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_emit_density(args) -> int:
+    if args.grid < 2:
+        raise RangeError(f"--grid = {args.grid} must be at least 2")
     config = desk_config(args.zeta, args.d, args.epsilon)
     pair = build_hard_pair(config)
     lo = args.lo if args.lo is not None else -args.d * config.delta - 1.0

@@ -1,23 +1,23 @@
 """Simulated statistical-query oracle, near-orthogonal direction sets,
 baseline SQ learners, and the distinguishing experiment.
 
-The oracle answers expectations of bounded functions to accuracy tau.
-Honest mode answers a non-adaptive batch of q queries (fixed before any of
-their answers is seen) from one shared sample of ceil((C + 2 ln q)/tau^2)
-rows; Hoeffding and a union bound over the batch keep all q answers within
-tau except with probability <= 2e^(-C/2) (6.7e-4 at C = 16).  A single
-query is a batch of one, so q = 1 gives ceil(C/tau^2) rows per query.
-Adversarial mode answers each query's true expectation (closed form where
-the query supports one, otherwise Monte Carlo certified to tau/4) plus a
-deterministic perturbation of magnitude at most tau minus the certificate's
-tau/4 when Monte Carlo supplied the truth; the default adversary rounds
-toward the null distribution's value, the least informative answer.
+The oracle answers expectations of bounded functions to accuracy tau.  A
+query carries r bounded columns over one set of direction rows, and each
+column counts as one query.  Honest mode answers a non-adaptive batch of q
+columns from one shared sample of ceil((C + 2 ln q)/tau^2) rows; Hoeffding
+and a union bound keep all q answers within tau except with probability
+<= 2e^(-C/2) (6.7e-4 at C = 16), and q = 1 gives ceil(C/tau^2).
+Adversarial mode answers each column's true expectation (closed form where
+the query has one, otherwise one honest batch at tau/4 for all such
+columns) plus a deterministic perturbation of at most tau, less the tau/4
+when the batch supplied the truth; the default adversary rounds toward the
+null distribution's value, the least informative answer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "label_mean_query",
     "projected_moment_query",
     "projected_indicator_query",
+    "chow_moment_query",
     "near_orthogonal_set",
     "pair_failure_bound",
     "Hypothesis",
@@ -60,23 +61,24 @@ _NO_DIRECTIONS = np.empty((0, 0))  # rows of a query that ignores x
 
 @dataclass(frozen=True)
 class SQQuery:
-    """A bounded query phi(x, y) = g(x . directions^T, y), clipped to [-1, 1].
+    """r bounded queries phi(x, y) = g(x . directions^T, y), clipped to [-1, 1].
 
     Every query reads x only through its projections T onto the rows of
     ``directions`` (no rows for a query that ignores x); a query that needs
     all of x uses the identity, for which T = x.  The oracle therefore only
     ever samples the joint law of (T, y), which is distributionally
-    identical to sampling full examples and projecting them.
+    identical to sampling full examples and projecting them.  ``g`` returns
+    an (n, r) block, r = len(descriptions), or a length-n vector when r = 1.
 
-    ``exact`` optionally computes the true expectation for a given
-    distribution object; queries without one fall back to certified Monte
+    ``exact`` optionally computes the r true expectations for a given
+    distribution object; queries without them fall back to certified Monte
     Carlo in adversarial mode.
     """
 
     directions: np.ndarray
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    description: str
-    exact: Callable[[object], float | None] | None = None
+    descriptions: tuple[str, ...]
+    exact: Callable[[object], Sequence[float] | None] | None = None
 
     def evaluate(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.clip(self.g(t, y), -1.0, 1.0)
@@ -86,10 +88,10 @@ class SQQuery:
 class OracleConfig:
     """Accuracy tau, answering mode, and the honest sizing constant C.
 
-    An honest batch of q queries draws ceil((C + 2 ln q)/tau^2) shared rows,
-    enough for all q answers to lie within tau except with probability
-    <= 2e^(-C/2); q = 1 gives ceil(C/tau^2).  ``query_budget`` caps the
-    total number of queries one oracle answers.
+    An honest batch of q queries (columns) draws ceil((C + 2 ln q)/tau^2)
+    shared rows, enough for all q answers to lie within tau except with
+    probability <= 2e^(-C/2); q = 1 gives ceil(C/tau^2).  ``query_budget``
+    caps the total number of columns one oracle answers.
     """
 
     tau: float
@@ -132,7 +134,7 @@ class NullDistribution:
         root = _covariance_root(directions @ directions.T)
         return rng.standard_normal((n, k)) @ root.T, y
 
-    def true_expectation(self, query: SQQuery) -> float | None:
+    def true_expectation(self, query: SQQuery) -> Sequence[float] | None:
         return query.exact(self) if query.exact is not None else None
 
 
@@ -173,7 +175,7 @@ class InstanceDistribution:
         out += np.multiply.outer(t, uv)  # one (n, k) buffer for the result
         return out, y
 
-    def true_expectation(self, query: SQQuery) -> float | None:
+    def true_expectation(self, query: SQQuery) -> Sequence[float] | None:
         return query.exact(self) if query.exact is not None else None
 
 
@@ -205,79 +207,77 @@ class SQOracle:
         self.queries_used = 0
 
     def answer(self, query: SQQuery) -> float:
+        """The answer to a one-column query."""
         return self.answer_batch([query])[0]
 
     def answer_batch(self, queries: Sequence[SQQuery]) -> list[float]:
-        """Answers a batch of queries fixed before any answer is seen.
-
-        The whole batch counts against the budget, or none of it does.
+        """Answers a batch of queries fixed before any answer is seen, one
+        float per column in order.  Each column counts as one query, and the
+        whole batch counts against the budget or none of it does.
         """
         queries = list(queries)
-        if self.queries_used + len(queries) > self.config.query_budget:
+        q = sum(len(query.descriptions) for query in queries)
+        if self.queries_used + q > self.config.query_budget:
             raise QueryBudgetError(
                 f"query budget {self.config.query_budget} exhausted: "
-                f"{self.queries_used} used, {len(queries)} asked"
+                f"{self.queries_used} used, {q} asked"
             )
-        self.queries_used += len(queries)
-        if not queries:
+        self.queries_used += q
+        if not q:
             return []
         if self.config.mode == "honest":
-            return self._empirical_means(queries, self.config.samples_per_batch(len(queries)))
-        return [self._adversarial_answer(query) for query in queries]
+            return self._empirical_means(queries, self.config.samples_per_batch(q))
+        return self._adversarial_answers(queries)
 
-    def _adversarial_answer(self, query: SQQuery) -> float:
+    def _adversarial_answers(self, queries: list[SQQuery]) -> list[float]:
         tau = self.config.tau
-        true = self.distribution.true_expectation(query)
-        budget = tau
-        if true is None:
-            # 4 sigma <= tau/4 for a [-1,1] query needs (16/tau)^2 samples;
-            # the certificate's tau/4 comes out of the adversary's budget
-            true = self._empirical_means([query], math.ceil((16.0 / tau) ** 2))[0]
-            budget = tau - tau / 4.0
-        null_val = true
-        if self.null_reference is not None:
-            null_val = self.null_reference.true_expectation(query)
-            if null_val is None:
-                null_val = true
-        return self.adversary(true, null_val, budget)
+        truths = [self.distribution.true_expectation(query) for query in queries]
+        missing = [query for query, true in zip(queries, truths) if true is None]
+        if missing:
+            # one honest batch at tau/4 certifies every missing column
+            # together; that tau/4 comes out of the adversary's budget
+            q = sum(len(query.descriptions) for query in missing)
+            n = replace(self.config, tau=tau / 4.0).samples_per_batch(q)
+            certified = iter(self._empirical_means(missing, n))
+        answers = []
+        for query, true in zip(queries, truths):
+            budget = tau
+            if true is None:
+                true = [next(certified) for _ in query.descriptions]
+                budget = tau - tau / 4.0
+            null_vals = true
+            if self.null_reference is not None:
+                null_vals = self.null_reference.true_expectation(query) or true
+            answers += [self.adversary(t, nv, budget) for t, nv in zip(true, null_vals)]
+        return answers
 
     def _empirical_means(self, queries: list[SQQuery], n: int) -> list[float]:
-        """Mean of each query over one shared sample of n rows.
+        """Mean of every column over one shared sample of n rows.
 
-        The queries' direction rows are stacked and deduplicated (first
-        occurrence first), sampled together in chunks of at most 2^19
-        values, and each query is evaluated on its own columns; a query
-        that reads every column in order gets the sampled block itself.
+        The queries' direction rows are stacked in order and sampled
+        together in chunks small enough that no sampled or evaluated block
+        exceeds 2^19 values; each query reads its own contiguous slice of
+        the sampled columns.
         """
         stacked = [query.directions for query in queries if len(query.directions)]
-        directions, columns = _NO_DIRECTIONS, np.empty(0, dtype=np.intp)
-        if stacked:
-            rows = np.vstack(stacked)
-            _, first, inverse = np.unique(
-                rows, axis=0, return_index=True, return_inverse=True
-            )
-            order = np.argsort(first)
-            rank = np.empty(len(order), dtype=np.intp)
-            rank[order] = np.arange(len(order))
-            directions, columns = rows[first[order]], rank[inverse.reshape(-1)]
-        k = len(directions)
-        views: list[np.ndarray | None] = []  # None: the whole block
-        offset = 0
-        for query in queries:
-            cols = columns[offset : offset + len(query.directions)]
-            offset += len(cols)
-            views.append(None if np.array_equal(cols, np.arange(k)) else cols)
-
-        totals = [0.0] * len(queries)
+        directions = np.vstack(stacked) if stacked else _NO_DIRECTIONS
+        widths = [len(query.descriptions) for query in queries]
+        rows_per_chunk = (1 << 19) // max(len(directions), *widths)
+        totals = np.zeros(sum(widths))
         remaining = n
         while remaining > 0:
-            chunk = min(remaining, (1 << 19) // max(k, 1))
+            chunk = min(remaining, rows_per_chunk)
             t, y = self.distribution.sample_projected(self.rng, chunk, directions)
-            for i, (query, cols) in enumerate(zip(queries, views)):
-                block = t if cols is None else t[:, cols]
-                totals[i] += float(np.sum(query.evaluate(block, y)))
+            row = col = 0
+            for query, r in zip(queries, widths):
+                k = len(query.directions)
+                block = query.evaluate(t[:, row : row + k], y).reshape(chunk, -1)
+                # each column summed as its own contiguous row, as np.sum
+                # sums a vector (block.sum(axis=0) rounds differently)
+                totals[col : col + r] += np.ascontiguousarray(block.T).sum(axis=1)
+                row, col = row + k, col + r
             remaining -= chunk
-        return [total / n for total in totals]
+        return (totals / n).tolist()
 
 
 # ---------------------------------------------------------------- queries
@@ -287,8 +287,8 @@ def constant_query() -> SQQuery:
     return SQQuery(
         _NO_DIRECTIONS,
         lambda t, y: np.ones(len(y)),
-        "constant 1",
-        exact=lambda dist: 1.0,
+        ("constant 1",),
+        exact=lambda dist: (1.0,),
     )
 
 
@@ -296,8 +296,8 @@ def label_mean_query() -> SQQuery:
     return SQQuery(
         _NO_DIRECTIONS,
         lambda t, y: y.astype(float),
-        "E[y]",
-        exact=lambda dist: 2.0 * dist.p - 1.0,
+        ("E[y]",),
+        exact=lambda dist: (2.0 * dist.p - 1.0,),
     )
 
 
@@ -320,14 +320,22 @@ def _signed_projection_moment(dist, u: np.ndarray, j: int) -> float:
     return total
 
 
-def projected_moment_query(u: np.ndarray, j: int, radius: float = CLIP_RADIUS) -> SQQuery:
-    """phi(x, y) = y * clip(<u, x>, -R, R)^j / R^j, a bounded moment probe."""
+def projected_moment_query(u: np.ndarray, *orders: int) -> SQQuery:
+    """phi_j(x, y) = y * clip(<u, x>, -R, R)^j / R^j, bounded moment probes,
+    one column per order j."""
     u = np.asarray(u, dtype=float)
+
+    def g(t, y):
+        c = np.clip(t[:, 0], -CLIP_RADIUS, CLIP_RADIUS) / CLIP_RADIUS
+        return np.stack([y * c**j for j in orders], axis=1)
+
     return SQQuery(
         u[None, :],
-        lambda t, y: y * (np.clip(t[:, 0], -radius, radius) / radius) ** j,
-        f"y*<u,x>^{j}/R^{j}",
-        exact=lambda dist: _signed_projection_moment(dist, u, j) / radius**j,
+        g,
+        tuple(f"y*<u,x>^{j}/R^{j}" for j in orders),
+        exact=lambda dist: [
+            _signed_projection_moment(dist, u, j) / CLIP_RADIUS**j for j in orders
+        ],
     )
 
 
@@ -335,9 +343,9 @@ def projected_indicator_query(u: np.ndarray, region: IntervalUnion) -> SQQuery:
     """phi(x) = 1[<u, x> in region]; closed form when u is the hidden direction."""
     u = np.asarray(u, dtype=float)
 
-    def exact(dist) -> float | None:
+    def exact(dist) -> tuple[float] | None:
         if isinstance(dist, NullDistribution):
-            return float(math.fsum(float(phi_mass(a, b)) for a, b in region.intervals))
+            return (float(math.fsum(float(phi_mass(a, b)) for a, b in region.intervals)),)
         instance = dist.instance
         gamma = float(u @ instance.v)
         if abs(abs(gamma) - 1.0) > 1e-12:
@@ -347,15 +355,36 @@ def projected_indicator_query(u: np.ndarray, region: IntervalUnion) -> SQQuery:
             if gamma < 0
             else region
         )
-        return instance.p * mass_in(instance.pair.A, flipped) + (
-            1.0 - instance.p
-        ) * mass_in(instance.pair.B, flipped)
+        a_mass, b_mass = mass_in(instance.pair.A, flipped), mass_in(instance.pair.B, flipped)
+        return (instance.p * a_mass + (1.0 - instance.p) * b_mass,)
 
     return SQQuery(
         u[None, :],
         lambda t, y: region.contains(t[:, 0]).astype(float),
-        "1[<u,x> in region]",
+        ("1[<u,x> in region]",),
         exact=exact,
+    )
+
+
+def chow_moment_query(m: int) -> SQQuery:
+    """The degree-<=2 Chow parameters as one query over identity directions.
+
+    Columns are E[y], E[y c_i] and E[y c_i c_j] for i <= j (row-major upper
+    triangle), with c = clip(x, -R, R)/R: 1 + m + m(m+1)/2 columns in all.
+    """
+    upper_i, upper_j = np.triu_indices(m)
+
+    def g(t, y):
+        c = np.clip(t, -CLIP_RADIUS, CLIP_RADIUS) / CLIP_RADIUS
+        yc = y[:, None] * c
+        return np.hstack([y[:, None], yc, yc[:, upper_i] * c[:, upper_j]])
+
+    return SQQuery(
+        np.eye(m),
+        g,
+        ("y",)
+        + tuple(f"y*c_{i + 1}" for i in range(m))
+        + tuple(f"y*c_{i + 1}*c_{j + 1}" for i, j in zip(upper_i, upper_j)),
     )
 
 
@@ -428,95 +457,43 @@ def learner_constant(oracle: SQOracle) -> Hypothesis:
     )
 
 
-def _monomial_exponents(m: int, degree: int) -> list[tuple[int, ...]]:
-    from .lift import enumerate_basis
-
-    return list(enumerate_basis(m, degree).exponents)
-
-
-def _monomial_query(alpha: tuple[int, ...]) -> SQQuery:
-    """phi(x, y) = y * prod_i clip(x_i, -R, R)^alpha_i / R^|alpha|."""
-    touched = tuple(i for i, a in enumerate(alpha) if a)
-    powers = tuple(alpha[i] for i in touched)
-    deg = sum(alpha)
-    m = len(alpha)
-    dirs = np.zeros((len(touched), m))
-    for row, i in enumerate(touched):
-        dirs[row, i] = 1.0
-
-    def g(t, y):
-        col = y.astype(float)
-        for row, a in enumerate(powers):
-            col = col * np.clip(t[:, row], -CLIP_RADIUS, CLIP_RADIUS) ** a
-        return col / CLIP_RADIUS**deg
-
-    return SQQuery(dirs, g, f"y*x^{alpha}")
-
-
-def learner_chow(oracle: SQOracle, basis_degree: int) -> Hypothesis:
-    """Estimates the label-weighted moment of every monomial up to the
-    given degree and thresholds the fitted linear functional.
+def learner_chow(oracle: SQOracle) -> Hypothesis:
+    """Estimates the degree-<=2 Chow parameters and thresholds the fitted
+    f(x) = c_0 + C . c_1 + C^T Q C, C = clip(x, -R, R)/R, Q upper-triangular.
 
     All interaction with the data goes through the oracle, in two
-    non-adaptive batches: one coefficient query per monomial, then one
-    misclassification query per threshold candidate.  An honest oracle
-    answers each batch of q queries from one shared sample of
-    ceil((C + 2 ln q)/tau^2) rows, all q answers within tau except with
-    probability <= 2e^(-C/2).  Candidates sweep the functional's
-    guaranteed range [-sum|c|, sum|c|], whose extremes recover the constant
-    hypotheses, so the learner never does worse than the better constant
-    by more than query accuracy.  The threshold queries read all of x
-    through identity directions, so the same f_values serves them and the
-    final predictor; within a batch they share one f_values per block.
+    non-adaptive queries: ``chow_moment_query``, then one misclassification
+    column per threshold candidate; an honest oracle answers all q columns
+    of each within tau except with probability <= 2e^(-C/2).  Candidates
+    sweep the functional's guaranteed range [-sum|c|, sum|c|], whose
+    extremes recover the constant hypotheses, so the learner never does
+    worse than the better constant by more than query accuracy.  The
+    threshold query reads all of x through identity directions, so the
+    same f_values serves it and the final predictor.
     """
     m = oracle.distribution.m
-    exponents = _monomial_exponents(m, basis_degree)
-    coeffs = np.array(oracle.answer_batch([_monomial_query(alpha) for alpha in exponents]))
+    coeffs = np.array(oracle.answer_batch([chow_moment_query(m)]))
     scale = float(np.sum(np.abs(coeffs))) + 1e-12  # |f(x)| <= scale pointwise
-
-    # (c / R^|alpha|, [(var, power), ...]) per nonzero coefficient
-    terms = [
-        (c / CLIP_RADIUS ** sum(alpha), [(var, a) for var, a in enumerate(alpha) if a])
-        for c, alpha in zip(coeffs, exponents)
-        if c != 0.0
-    ]
+    linear = coeffs[1 : m + 1]
+    quadratic = np.zeros((m, m))
+    quadratic[np.triu_indices(m)] = coeffs[m + 1 :]
 
     def f_values(x: np.ndarray) -> np.ndarray:
-        columns = np.clip(x, -CLIP_RADIUS, CLIP_RADIUS).T.copy()
-        out = np.zeros(len(x))
-        for c, factors in terms:
-            col = np.full(len(x), c)
-            for var, a in factors:
-                col = col * columns[var] ** a
-            out += col
-        return out
+        c = np.clip(x, -CLIP_RADIUS, CLIP_RADIUS) / CLIP_RADIUS
+        return coeffs[0] + c @ linear + ((c @ quadratic) * c).sum(axis=1)
 
-    last = [None, None]  # the last sampled block and its scores
-
-    def scores(t: np.ndarray) -> np.ndarray:
-        if last[0] is not t:
-            last[0], last[1] = t, f_values(t)
-        return last[1]
-
-    identity = np.eye(m)
     thetas = np.linspace(-scale, scale, 9)
-    errs = oracle.answer_batch(
-        [
-            SQQuery(
-                identity,
-                lambda t, y, theta=theta: (
-                    np.where(scores(t) - theta >= 0.0, 1, -1) != y
-                ).astype(float),
-                f"err(theta={theta:.4g})",
-            )
-            for theta in thetas
-        ]
+    errors = SQQuery(
+        np.eye(m),
+        lambda t, y: (np.where(f_values(t)[:, None] - thetas >= 0.0, 1, -1) != y[:, None]) * 1.0,
+        tuple(f"err(theta={theta:.4g})" for theta in thetas),
     )
+    errs = oracle.answer_batch([errors])
     best_theta = float(thetas[int(np.argmin(errs))])  # the first minimum
 
     return Hypothesis(
         predict=lambda x: np.where(f_values(x) - best_theta >= 0.0, 1, -1),
-        description=f"chow degree<={basis_degree}, theta={best_theta:.4g}",
+        description=f"chow degree<=2, theta={best_theta:.4g}",
     )
 
 
@@ -573,6 +550,15 @@ def _diagnostics(pair: HardPair, m: int, k: int = 12) -> tuple[float, float, flo
     return nu, rho, alpha_chi, n_bound, c
 
 
+def _column_truths(dist, queries: list[SQQuery]) -> list[float | None]:
+    """Each column's closed-form expectation under dist, None where absent."""
+    return [
+        value
+        for query in queries
+        for value in dist.true_expectation(query) or [None] * len(query.descriptions)
+    ]
+
+
 def distinguishing_experiment(
     config,
     eta: float,
@@ -583,7 +569,6 @@ def distinguishing_experiment(
     direction_c: float = 0.3,
     moment_orders: tuple[int, ...] = (1, 2),
     learners: tuple[str, ...] = ("constant", "chow"),
-    chow_degree: int = 2,
     holdout: int = 100_000,
 ) -> ExperimentReport:
     """Run the query battery on the planted and null distributions and
@@ -610,19 +595,25 @@ def distinguishing_experiment(
     oracle_null = SQOracle(dist_null, oracle_config, rng_battery, null_reference=dist_null)
 
     battery = [projected_indicator_query(v, pair.J1), label_mean_query()]
-    battery += [projected_moment_query(u, j) for u in directions for j in moment_orders]
+    battery += [projected_moment_query(u, *moment_orders) for u in directions]
     answers_dv = oracle_dv.answer_batch(battery)
     answers_null = oracle_null.answer_batch(battery)
     rows = [
         {
-            "description": query.description,
+            "description": description,
             "answer_planted": ans_dv,
             "answer_null": ans_null,
-            "true_planted": dist_dv.true_expectation(query),
-            "true_null": dist_null.true_expectation(query),
+            "true_planted": true_dv,
+            "true_null": true_null,
             "gap": abs(ans_dv - ans_null),
         }
-        for query, ans_dv, ans_null in zip(battery, answers_dv, answers_null)
+        for description, ans_dv, ans_null, true_dv, true_null in zip(
+            [description for query in battery for description in query.descriptions],
+            answers_dv,
+            answers_null,
+            _column_truths(dist_dv, battery),
+            _column_truths(dist_null, battery),
+        )
     ]
     planted_gap = rows[0]["gap"]
     max_moment_gap = max((row["gap"] for row in rows[2:]), default=0.0)
@@ -631,17 +622,12 @@ def distinguishing_experiment(
     x_hold, y_hold = dist_dv.sample_xy(rng_holdout, holdout)
     for name in learners:
         child = np.random.default_rng(root.spawn(1)[0])
-        honest = OracleConfig(
-            tau=oracle_config.tau,
-            mode="honest",
-            sample_constant=oracle_config.sample_constant,
-            query_budget=oracle_config.query_budget,
-        )
+        honest = replace(oracle_config, mode="honest")
         oracle = SQOracle(dist_dv, honest, child, null_reference=dist_null)
         if name == "constant":
             hyp = learner_constant(oracle)
         elif name == "chow":
-            hyp = learner_chow(oracle, chow_degree)
+            hyp = learner_chow(oracle)
         else:
             raise RangeError(f"unknown learner {name!r}")
         learner_errors[name] = hyp.error(x_hold, y_hold)

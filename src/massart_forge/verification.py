@@ -29,7 +29,9 @@ from .instance import (
 from .lift import check_consistency, enumerate_basis, halfspace_from_ptf
 from .planner import TsybakovParams, tsybakov_to_massart, verify_tsybakov
 
-__all__ = ["build_verification_report"]
+__all__ = ["SECTIONS", "build_verification_report"]
+
+SECTIONS = ("construction", "moments", "fourier", "chi_square", "massart", "tsybakov", "lift")
 
 # lift checks run at reduced dimensions: the desk construction's polynomial
 # degree 4d+2 at d = 10 would need a basis of ~7e15 monomials
@@ -286,17 +288,6 @@ def build_verification_report(
         "tsybakov": _tsybakov_section(pair, seed),
         "lift": _lift_section(seed),
     }
-    report["pass"] = all(
-        report[name]["pass"]
-        for name in (
-            "construction",
-            "moments",
-            "fourier",
-            "chi_square",
-            "massart",
-            "tsybakov",
-            "lift",
-        )
-    )
+    report["pass"] = all(report[name]["pass"] for name in SECTIONS)
     report["runtime_seconds"] = time.time() - started
     return report

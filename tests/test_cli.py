@@ -74,6 +74,7 @@ def test_verify_pass_and_refusal(tmp_path):
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["pass"] is True
+    assert all(report[name]["pass"] for name in verification.SECTIONS)
     assert abs(report["chi_square"]["closed_form"] - report["chi_square"]["quadrature"]) <= 1e-8
     # corrupted epsilon (> delta/8) refuses to run
     code = run(["verify", "--zeta", "0.05", "--d", "10", "--epsilon", "0.09",
@@ -135,3 +136,19 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
     # through the CLI the fault exits 1 as an internal error, not a failed check
     assert run(["verify", "--report", tmp_path / "r.json"]) == 1
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["experiment", "--seeds", "0"], "--seeds"),
+        (["experiment", "--seeds", "-2"], "--seeds"),
+        (["emit-density", "--grid", "0"], "--grid"),
+        (["emit-density", "--grid", "1"], "--grid"),
+    ],
+)
+def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):
+    code = run(argv + ["--out", tmp_path / "out", "--manifest", tmp_path / "m.json"])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

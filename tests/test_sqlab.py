@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,11 +73,11 @@ def test_batch_sample_size():
     assert [config.samples_per_batch(q) for q in (9, 42, 231)] == [203_945, 234_754, 268_849]
 
 
-def _per_query_reference(dist, rng, query, n):
-    """Mean of one query over n fresh rows, drawn in chunks of 2^19 rows."""
+def _per_query_reference(dist, rng, query, n, rows_per_chunk=1 << 19):
+    """Mean of a one-column query over n fresh rows, drawn in chunks."""
     total, remaining = 0.0, n
     while remaining > 0:
-        chunk = min(remaining, 1 << 19)
+        chunk = min(remaining, rows_per_chunk)
         t, y = dist.sample_projected(rng, chunk, query.directions)
         total += float(np.sum(query.evaluate(t, y)))
         remaining -= chunk
@@ -101,21 +102,24 @@ def test_single_query_is_a_batch_of_one(planted):
         reference = _per_query_reference(
             dist, np.random.default_rng(3), query, config.samples_per_batch(1)
         )
-        assert one == batch[0] == reference, query.description
+        assert one == batch[0] == reference, query.descriptions
 
 
 def _mixed_batch(pair, instance, directions) -> list[sqlab.SQQuery]:
-    """Battery queries plus Chow monomials that share direction rows."""
-    m = instance.m
+    """Battery queries of one and two columns, the Chow parameters (which
+    read every coordinate), and a query repeating an earlier direction."""
     queries = [sqlab.projected_indicator_query(instance.v, pair.J1), sqlab.label_mean_query()]
-    queries += [sqlab.projected_moment_query(u, j) for u in directions[:3] for j in (1, 2)]
-    for touched in ((0,), (3, 0), (3,), (0, 0), ()):
-        alpha = [0] * m
-        for i in touched:
-            alpha[i] += 1
-        queries.append(sqlab._monomial_query(tuple(alpha)))
+    queries += [sqlab.projected_moment_query(u, 1, 2) for u in directions[:2]]
+    queries += [sqlab.projected_moment_query(directions[2], j) for j in (1, 2)]
+    queries.append(sqlab.chow_moment_query(instance.m))
     queries.append(sqlab.projected_moment_query(directions[1], 2))  # a repeat
     return queries
+
+
+def _per_query(queries, answers):
+    """Splits a batch's flat answers into one list per query."""
+    answers = iter(answers)
+    return [[next(answers) for _ in query.descriptions] for query in queries]
 
 
 def test_mixed_batch_agrees_with_per_query(planted):
@@ -126,11 +130,13 @@ def test_mixed_batch_agrees_with_per_query(planted):
     queries = _mixed_batch(pair, instance, directions)
     batch = sqlab.SQOracle(dist, config, np.random.default_rng(11)).answer_batch(queries)
     single = sqlab.SQOracle(dist, config, np.random.default_rng(12))
-    for query, answer in zip(queries, batch):
-        assert abs(answer - single.answer(query)) <= 2.0 * tau, query.description
-        exact = dist.true_expectation(query)
-        if exact is not None:
-            assert abs(answer - exact) <= tau, query.description
+    for query, answers in zip(queries, _per_query(queries, batch)):
+        alone = single.answer_batch([query])
+        exact = dist.true_expectation(query) or [None] * len(answers)
+        for description, answer, one, want in zip(query.descriptions, answers, alone, exact):
+            assert abs(answer - one) <= 2.0 * tau, description
+            if want is not None:
+                assert abs(answer - want) <= tau, description
 
 
 class _FullGaussian:
@@ -151,13 +157,14 @@ def test_batch_columns_map_to_their_directions(planted):
     dist = _FullGaussian(instance.m)
     config = sqlab.OracleConfig(tau=0.05)
     queries = _mixed_batch(pair, instance, directions)
-    n = config.samples_per_batch(len(queries))
+    n = config.samples_per_batch(sum(len(query.descriptions) for query in queries))
     answers = sqlab.SQOracle(dist, config, np.random.default_rng(5)).answer_batch(queries)
     x = np.random.default_rng(5).standard_normal((n, instance.m))
     y = np.where(x[:, 0] >= 0.0, 1, -1)
-    for query, answer in zip(queries, answers):
+    for query, got in zip(queries, _per_query(queries, answers)):
         t = x @ query.directions.T if len(query.directions) else np.empty((n, 0))
-        assert answer == pytest.approx(float(query.evaluate(t, y).mean()), abs=1e-12)
+        want = query.evaluate(t, y).reshape(n, -1).mean(axis=0)
+        assert got == pytest.approx(want.tolist(), abs=1e-12), query.descriptions
 
 
 def test_batch_honesty_rate(rng):
@@ -168,13 +175,88 @@ def test_batch_honesty_rate(rng):
     oracle = sqlab.SQOracle(null, config, rng)
     units = np.array([[math.cos(a), math.sin(a)] for a in np.linspace(0.0, 3.0, 9)])
     queries = [sqlab.constant_query(), sqlab.label_mean_query()]
-    queries += [sqlab.projected_moment_query(u, j) for u in units for j in (1, 2)]
-    exact = [null.true_expectation(query) for query in queries]
+    queries += [sqlab.projected_moment_query(u, 1, 2) for u in units]
+    exact = [value for query in queries for value in null.true_expectation(query)]
     good = sum(
         all(abs(a - e) <= config.tau for a, e in zip(oracle.answer_batch(queries), exact))
         for _ in range(100)
     )
     assert good >= 99
+
+
+class _Recording:
+    """Wraps a distribution and records (rows, columns) of every sampled block."""
+
+    def __init__(self, dist):
+        self.dist, self.m, self.p = dist, dist.m, dist.p
+        self.blocks = []
+
+    def sample_projected(self, rng, n, directions):
+        t, y = self.dist.sample_projected(rng, n, directions)
+        self.blocks.append((len(y), t.shape[1]))
+        return t, y
+
+    def true_expectation(self, query):
+        return self.dist.true_expectation(query)
+
+
+def test_wide_query_costs_one_query_per_column(rng):
+    # a w-column query is w queries: against the budget, in the 2 ln q
+    # sizing, and in the refusal that comes before any draw
+    null = _Recording(sqlab.NullDistribution(m=3, p=0.6))
+    config = sqlab.OracleConfig(tau=0.05, query_budget=7)
+    oracle = sqlab.SQOracle(null, config, rng)
+    wide = sqlab.projected_moment_query(np.array([1.0, 0.0, 0.0]), 1, 2, 3, 4)
+    assert len(oracle.answer_batch([wide])) == 4
+    assert oracle.queries_used == 4
+    assert sum(rows for rows, _ in null.blocks) == config.samples_per_batch(4)
+    state = rng.bit_generator.state
+    with pytest.raises(QueryBudgetError):
+        oracle.answer_batch([wide])  # 4 columns, 3 left
+    assert rng.bit_generator.state == state
+    assert oracle.queries_used == 4 and len(null.blocks) == 1
+    narrow = sqlab.projected_moment_query(np.array([0.0, 1.0, 0.0]), 1, 2)
+    assert len(oracle.answer_batch([narrow, sqlab.label_mean_query()])) == 3
+    assert oracle.queries_used == 7
+
+
+def test_no_block_exceeds_2_19_values(planted, monkeypatch):
+    pair, instance, directions = planted
+    dist = _Recording(sqlab.InstanceDistribution(instance))
+    evaluated = []
+    evaluate = sqlab.SQQuery.evaluate
+
+    def recording(query, t, y):
+        out = evaluate(query, t, y)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(sqlab.SQQuery, "evaluate", recording)
+    oracle = sqlab.SQOracle(dist, sqlab.OracleConfig(tau=0.02), np.random.default_rng(1))
+    oracle.answer_batch(_mixed_batch(pair, instance, directions))
+    sqlab.learner_chow(oracle)
+    assert max(rows * k for rows, k in dist.blocks) <= 1 << 19
+    assert max(evaluated) <= 1 << 19
+    assert max(evaluated) > 1 << 18  # the 231-column block fills a chunk
+
+
+def test_moment_orders_are_one_order_queries_on_one_sample(planted):
+    # the columns of a two-order query are bit-identical to the one-order
+    # queries evaluated on the same rows of the same stream
+    pair, instance, directions = planted
+    dist = sqlab.InstanceDistribution(instance)
+    config = sqlab.OracleConfig(tau=0.01)
+    query = sqlab.projected_moment_query(directions[0], 1, 2)
+    both = sqlab.SQOracle(dist, config, np.random.default_rng(9)).answer_batch([query])
+    n = config.samples_per_batch(2)
+    alone = [
+        _per_query_reference(
+            dist, np.random.default_rng(9), sqlab.projected_moment_query(directions[0], j), n,
+            rows_per_chunk=(1 << 19) // 2,
+        )
+        for j in (1, 2)
+    ]
+    assert both == alone
 
 
 def test_adversarial_determinism_and_rounding(planted):
@@ -188,8 +270,8 @@ def test_adversarial_determinism_and_rounding(planted):
         for s in (1, 2, 3)
     ]
     assert answers[0] == answers[1] == answers[2]
-    true_val = dist.true_expectation(query)
-    null_val = null.true_expectation(query)
+    [true_val] = dist.true_expectation(query)
+    [null_val] = null.true_expectation(query)
     want = true_val + max(-0.01, min(0.01, null_val - true_val))
     assert answers[0] == want
 
@@ -214,7 +296,7 @@ def test_adversary_budget_after_certified_monte_carlo(planted):
         hits += float(query.evaluate(t, y).sum())
     truth = hits / n_truth
     tau = 0.05
-    assert truth - null.true_expectation(query) > 5.0 * tau
+    assert truth - null.true_expectation(query)[0] > 5.0 * tau
     config = sqlab.OracleConfig(tau=tau, mode="adversarial")
     misses = [
         abs(
@@ -226,12 +308,37 @@ def test_adversary_budget_after_certified_monte_carlo(planted):
     assert max(misses) <= tau
 
 
+def test_adversarial_truths_share_one_certified_batch(planted):
+    # two queries without a closed form get their truths from one honest
+    # batch at tau/4 on one shared sample, and the adversary moves 3 tau/4
+    pair, instance, directions = planted
+    dist = _Recording(sqlab.InstanceDistribution(instance))
+    null = sqlab.NullDistribution(instance.m, instance.p)
+    queries = [sqlab.projected_indicator_query(u, pair.J1) for u in directions[:2]]
+    assert all(dist.true_expectation(query) is None for query in queries)
+    config = sqlab.OracleConfig(tau=0.05, mode="adversarial")
+    oracle = sqlab.SQOracle(dist, config, np.random.default_rng(4), null_reference=null)
+    answers = oracle.answer_batch(queries)
+    certify = replace(config, mode="honest", tau=config.tau / 4.0)
+    assert sum(rows for rows, _ in dist.blocks) == certify.samples_per_batch(2)
+    assert {k for _, k in dist.blocks} == {2}  # both rows in every chunk
+    truths = sqlab.SQOracle(
+        sqlab.InstanceDistribution(instance), certify, np.random.default_rng(4)
+    ).answer_batch(queries)
+    budget = config.tau - config.tau / 4.0
+    want = []
+    for query, truth in zip(queries, truths):
+        [null_val] = null.true_expectation(query)
+        want.append(truth + max(-budget, min(budget, null_val - truth)))
+    assert answers == want
+
+
 def test_moment_query_closed_form_vs_monte_carlo(planted, rng):
     pair, instance, directions = planted
     dist = sqlab.InstanceDistribution(instance)
     for j in (1, 2):
         query = sqlab.projected_moment_query(directions[1], j)
-        exact = dist.true_expectation(query)
+        [exact] = dist.true_expectation(query)
         x, y = dist.sample_xy(rng, 1_000_000)
         vals = query.evaluate(x @ query.directions.T, y)
         sigma = float(vals.std()) / math.sqrt(len(vals))
@@ -244,7 +351,7 @@ def _threshold_query(instance) -> sqlab.SQQuery:
     return sqlab.SQQuery(
         np.eye(instance.m),
         lambda t, y: (ptf_sign(instance, t) != y).astype(float),
-        "ptf error",
+        ("ptf error",),
     )
 
 
@@ -270,8 +377,12 @@ def test_projected_sampler_matches_full_by_shape(planted, law, shape):
     if shape == "moment":
         query = sqlab.projected_moment_query(directions[2], 2)
     elif shape == "cross_monomial":
-        alpha = tuple(int(i in (0, 3)) for i in range(instance.m))
-        query = sqlab._monomial_query(alpha)
+        radius = sqlab.CLIP_RADIUS
+        query = sqlab.SQQuery(
+            np.eye(instance.m)[[0, 3]],
+            lambda t, y: y * np.prod(np.clip(t, -radius, radius) / radius, axis=1),
+            ("y*c_1*c_4",),
+        )
     else:
         query = _threshold_query(instance)
     rows = {"moment": 1, "cross_monomial": 2, "identity": instance.m}[shape]
@@ -288,8 +399,8 @@ def test_planted_indicator_closed_forms(planted):
     dist = sqlab.InstanceDistribution(instance)
     null = sqlab.NullDistribution(instance.m, instance.p)
     query = sqlab.projected_indicator_query(instance.v, pair.J1)
-    on_planted = dist.true_expectation(query)
-    on_null = null.true_expectation(query)
+    [on_planted] = dist.true_expectation(query)
+    [on_null] = null.true_expectation(query)
     assert on_planted == pytest.approx(0.7, abs=1e-10)
     assert 0.1 < on_null < 0.2
     assert on_planted - on_null > 0.05
@@ -347,6 +458,21 @@ class _RealizableLinear:
         return x @ directions.T, y
 
 
+def test_chow_columns_are_the_named_monomials(rng):
+    m = 5
+    query = sqlab.chow_moment_query(m)
+    t = 4.0 * rng.standard_normal((50, m))
+    y = np.where(rng.random(50) < 0.5, 1, -1)
+    c = np.clip(t, -sqlab.CLIP_RADIUS, sqlab.CLIP_RADIUS) / sqlab.CLIP_RADIUS
+    block = query.evaluate(t, y)
+    assert block.shape == (50, 1 + m + m * (m + 1) // 2)
+    for col, description in enumerate(query.descriptions):
+        want = y.astype(float)
+        for factor in description.split("*")[1:]:  # "c_i", 1-based
+            want = want * c[:, int(factor[2:]) - 1]
+        assert np.array_equal(block[:, col], want), description
+
+
 def test_learner_chow_realizable(rng):
     # The oracle's contract, not the learner's resolution: each coefficient
     # of y = sign(x_1) is within tau of E[y * clipped monomial] / R^|alpha|,
@@ -354,17 +480,18 @@ def test_learner_chow_realizable(rng):
     dist = _RealizableLinear(4)
     tau = 0.02
     radius = sqlab.CLIP_RADIUS
-    exponents = sqlab._monomial_exponents(4, 2)
+    query = sqlab.chow_moment_query(4)
+    assert len(query.descriptions) == 1 + 4 + 10  # every monomial of degree <= 2
     oracle = sqlab.SQOracle(dist, sqlab.OracleConfig(tau=tau), rng)
-    coeffs = oracle.answer_batch([sqlab._monomial_query(alpha) for alpha in exponents])
+    coeffs = oracle.answer_batch([query])
     abs_clipped = 2.0 * (1.0 - math.exp(-(radius**2) / 2.0)) / math.sqrt(
         2.0 * math.pi
     ) + radius * math.erfc(radius / math.sqrt(2.0))
-    for alpha, coeff in zip(exponents, coeffs):
-        want = abs_clipped / radius if alpha == (1, 0, 0, 0) else 0.0
-        assert abs(coeff - want) <= tau, alpha
+    for description, coeff in zip(query.descriptions, coeffs):
+        want = abs_clipped / radius if description == "y*c_1" else 0.0
+        assert abs(coeff - want) <= tau, description
     # end to end, the learner beats the best constant (error 1/2) by far
-    hyp = sqlab.learner_chow(sqlab.SQOracle(dist, sqlab.OracleConfig(tau=tau), rng), 2)
+    hyp = sqlab.learner_chow(sqlab.SQOracle(dist, sqlab.OracleConfig(tau=tau), rng))
     x, y = dist.sample_xy(rng, 50_000)
     assert hyp.error(x, y) < 0.3
 
@@ -372,7 +499,7 @@ def test_learner_chow_realizable(rng):
 def test_learner_chow_on_null(rng):
     null = sqlab.NullDistribution(4, 0.7)
     oracle = sqlab.SQOracle(null, sqlab.OracleConfig(tau=0.02), rng)
-    hyp = sqlab.learner_chow(oracle, 2)
+    hyp = sqlab.learner_chow(oracle)
     x, y = null.sample_xy(rng, 100_000)
     err = hyp.error(x, y)
     assert abs(err - 0.3) <= 0.02 + 4.0 * math.sqrt(0.3 * 0.7 / len(y))
