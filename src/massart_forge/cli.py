@@ -24,10 +24,11 @@ from .errors import MassartForgeError, RangeError
 from .hardpair import build_hard_pair, density_curve
 from .instance import make_instance, opt_error, random_unit_vector, sample_labeled
 from .planner import Constants, desk_config, plan
-from .sqlab import OracleConfig, distinguishing_experiment
+from .sqlab import LEARNERS, OracleConfig, distinguishing_experiment
 from .verification import SECTIONS, build_verification_report
 
 RNG_NAME = "numpy default_rng (PCG64)"
+CSV_BLOCK_ROWS = 8192  # rows formatted per write; bounds the text held at once
 
 
 def thread_cap() -> int:
@@ -39,6 +40,11 @@ def thread_cap() -> int:
     if cap < 1:
         raise RangeError(f"MASSART_FORGE_THREADS = {raw!r} must be an integer >= 1")
     return cap
+
+
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise RangeError(f"{flag} = {value} must be at least {least}")
 
 
 def _utc_now() -> str:
@@ -186,6 +192,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _require_at_least("--m", args.m, 1)
     config = desk_config(args.zeta, args.d, args.epsilon)
     pair = build_hard_pair(config)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
@@ -194,11 +201,16 @@ def _cmd_gen(args) -> int:
     x, y = sample_labeled(instance, rng, args.n)
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
+    row_format = "%.17g," * args.m + "%d\n"
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(",".join([f"x_{i+1}" for i in range(args.m)] + ["y"]) + "\n")
-        for row, label in zip(x, y):
+        # tolist() per block, not on all of x: the Python floats of a whole
+        # 100 000 x 20 draw would outweigh the array itself several times
+        for start in range(0, len(x), CSV_BLOCK_ROWS):
+            rows = x[start:start + CSV_BLOCK_ROWS].tolist()
+            labels = y[start:start + CSV_BLOCK_ROWS].tolist()
             handle.write(
-                ",".join(format(val, ".17g") for val in row) + f",{label:d}\n"
+                "".join(row_format % (*row, label) for row, label in zip(rows, labels))
             )
 
     sidecar = {
@@ -237,6 +249,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_at_least("--m", args.m, 1)
     report = build_verification_report(
         zeta=args.zeta, d=args.d, epsilon=args.epsilon, eta=args.eta,
         m=args.m, k=args.k, seed=args.seed,
@@ -271,11 +284,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.seeds < 1:
-        raise RangeError(f"--seeds = {args.seeds} must be at least 1")
+    _require_at_least("--seeds", args.seeds, 1)
+    _require_at_least("--m", args.m, 1)
+    learners = tuple(s.strip() for s in args.learners.split(",") if s.strip())
+    unknown = [name for name in learners if name not in LEARNERS]
+    if unknown:
+        raise RangeError(
+            f"--learners names unknown learner {unknown[0]!r}; known: {', '.join(LEARNERS)}"
+        )
     config = desk_config(args.zeta, args.d, args.epsilon)
     oracle_config = OracleConfig(tau=args.tau, mode=args.oracle_mode)
-    learners = tuple(s.strip() for s in args.learners.split(",") if s.strip())
     seeds = list(range(args.seed, args.seed + args.seeds))
 
     def run_one(seed: int):
@@ -340,12 +358,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_emit_density(args) -> int:
-    if args.grid < 2:
-        raise RangeError(f"--grid = {args.grid} must be at least 2")
+    _require_at_least("--grid", args.grid, 2)
     config = desk_config(args.zeta, args.d, args.epsilon)
     pair = build_hard_pair(config)
     lo = args.lo if args.lo is not None else -args.d * config.delta - 1.0
     hi = args.hi if args.hi is not None else args.d * config.delta + 1.0
+    if not lo < hi:
+        raise RangeError(f"--lo = {lo} must be below --hi = {hi}")
     x, da, db, j1, j2 = density_curve(pair, args.grid, lo, hi)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -9,11 +9,21 @@ arithmetic, not arbitrary precision.
 
 Only what the measurement needs is implemented: +, -, *, /, exp, sqrt,
 Gauss-Legendre nodes, and the comb-moment integrals themselves.
+
+The arithmetic helpers and dd_exp are elementwise: a hi or lo part may be a
+float or a float64 array, and an array entry gets the bits its scalar
+evaluation would.  numpy evaluates each operation with one IEEE rounding and
+never contracts a*b + c to a fused multiply-add, so the Dekker/Knuth
+transformations stay exact entry by entry (Hida, Li and Bailey 2001).  The
+comb quadrature uses this to run over a (period x node) grid while keeping
+the scalar summation order.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
 
@@ -102,20 +112,36 @@ def dd_sqrt(a: tuple[float, float]) -> tuple[float, float]:
 
 
 def dd_exp(a: tuple[float, float]) -> tuple[float, float]:
-    """exp(a) in double-double; |a| may be up to ~700."""
-    if a[0] < -745.0:
-        return (0.0, 0.0)
-    m = round(a[0] / _LN2_HI)
-    r = dd_add(a, dd_neg(dd_mul_d((_LN2_HI, _LN2_LO), float(m))))
-    # Taylor series of exp on |r| <= ln2/2; terms fall below 1e-35 by i~26
+    """exp(a) in double-double; |a| may be up to ~700.
+
+    Elementwise over arrays; a 0-d input returns a pair of floats.
+    """
+    hi = np.asarray(a[0], dtype=float)
+    dead = hi < -745.0
+    hi = np.where(dead, 0.0, hi)
+    lo = np.where(dead, 0.0, a[1])
+    m = np.rint(hi / _LN2_HI)  # rounds half to even, as round() does
+    r = dd_add((hi, lo), dd_neg(dd_mul_d((_LN2_HI, _LN2_LO), m)))
+    # Taylor series of exp on |r| <= ln2/2; terms fall below 1e-35 by i~26.
+    # Each entry stops at its own term, as a scalar loop would: where exp(a)
+    # lies within ~1e-32 of a double, a further term still moves the low word.
     s = dd_add((1.0, 0.0), r)
     term = r
+    live = np.ones(hi.shape, dtype=bool)
     for i in range(2, 40):
-        term = dd_div_d(dd_mul(term, r), float(i))
-        s = dd_add(s, term)
-        if abs(term[0]) < 1e-37 * abs(s[0]):
+        new_term = dd_div_d(dd_mul(term, r), float(i))
+        new_s = dd_add(s, new_term)
+        term = (np.where(live, new_term[0], term[0]), np.where(live, new_term[1], term[1]))
+        s = (np.where(live, new_s[0], s[0]), np.where(live, new_s[1], s[1]))
+        live &= ~(np.abs(new_term[0]) < 1e-37 * np.abs(new_s[0]))
+        if not live.any():
             break
-    return (math.ldexp(s[0], m), math.ldexp(s[1], m))
+    k = m.astype(np.int64)
+    out_hi = np.where(dead, 0.0, np.ldexp(s[0], k))
+    out_lo = np.where(dead, 0.0, np.ldexp(s[1], k))
+    if out_hi.ndim == 0:
+        return float(out_hi), float(out_lo)
+    return out_hi, out_lo
 
 
 # 1/sqrt(2*pi), computed in dd from the dd value of 2*pi
@@ -134,7 +160,8 @@ def gauss_legendre_dd(n: int) -> tuple[list[tuple[float, float]], list[tuple[flo
     for i in range(1, (n + 1) // 2 + 1):
         x = (math.cos(math.pi * (i - 0.25) / (n + 0.5)), 0.0)
         dp = (1.0, 0.0)
-        for _ in range(100):
+        x_prev = x_prev2 = dp_prev = None
+        for step in range(1, 101):
             p0 = (1.0, 0.0)
             p1 = x
             for k in range(2, n + 1):
@@ -146,9 +173,20 @@ def gauss_legendre_dd(n: int) -> tuple[list[tuple[float, float]], list[tuple[flo
             dp = dd_mul_d(dd_sub(dd_mul(x, p1), p0), float(n))
             dp = dd_div(dp, dd_sub(dd_mul(x, x), (1.0, 0.0)))
             dx = dd_div(p1, dp)
+            x_prev2, x_prev = x_prev, x
             x = dd_sub(x, dx)
             if abs(dx[0]) < 1e-33:
                 break
+            # A step is a function of x alone, so once x repeats, the steps
+            # left up to 100 only cycle: stop on the (x, dp) that step 100
+            # would end on.
+            if x == x_prev:
+                break
+            if x == x_prev2:
+                if (100 - step) % 2 == 1:
+                    x, dp = x_prev, dp_prev
+                break
+            dp_prev = dp
         w = dd_sub((1.0, 0.0), dd_mul(x, x))
         w = dd_div((2.0, 0.0), dd_mul(w, dd_mul(dp, dp)))
         nodes[i - 1] = x
@@ -170,28 +208,39 @@ def _gaussian_pdf_dd(x: tuple[float, float]) -> tuple[float, float]:
 def _comb_moments_dd(
     delta: float, eps: float, t_max: int, n_max: int | None, n_nodes: int = 28
 ) -> list[tuple[float, float]]:
-    """Comb moments 0..t_max as dd values; odd entries are exact zeros."""
+    """Comb moments 0..t_max as dd values; odd entries are exact zeros.
+
+    The integrand is evaluated on one (period n = 0..n_max) x (node) grid.
+    Both sums keep the order of a per-period, per-node loop, which fixes the
+    bits of the result: nodes in order within each period, then periods
+    from n = 0 upward.
+    """
     if n_max is None:
         n_max = math.ceil(14.0 / delta)
     nodes, weights = gauss_legendre_dd(n_nodes)
-    totals = [(0.0, 0.0)] * (t_max + 1)
-    for n in range(0, n_max + 1):
-        c = two_prod(float(n), delta)
-        vals = [(0.0, 0.0)] * (t_max + 1)
-        for xi, w in zip(nodes, weights):
-            x = dd_add(c, dd_mul_d(xi, eps))
-            f = dd_mul(_gaussian_pdf_dd(x), w)
-            p = f
-            for t in range(0, t_max + 1):
-                vals[t] = dd_add(vals[t], p)
-                p = dd_mul(p, x)
+    xi = (np.array([v[0] for v in nodes]), np.array([v[1] for v in nodes]))
+    w = (np.array([v[0] for v in weights]), np.array([v[1] for v in weights]))
+    c = two_prod(np.arange(n_max + 1, dtype=float)[:, None], delta)
+    x = dd_add(c, dd_mul_d(xi, eps))
+    p = dd_mul(_gaussian_pdf_dd(x), w)
+    powers_hi = np.empty((t_max + 1,) + x[0].shape)
+    powers_lo = np.empty_like(powers_hi)
+    for t in range(t_max + 1):
+        powers_hi[t], powers_lo[t] = p
+        p = dd_mul(p, x)
+    # vals[t, n]: node sum of period n at order t
+    vals = (np.zeros(powers_hi.shape[:2]), np.zeros(powers_hi.shape[:2]))
+    for j in range(n_nodes):
+        vals = dd_add(vals, (powers_hi[:, :, j], powers_lo[:, :, j]))
+    totals = (np.zeros(t_max + 1), np.zeros(t_max + 1))
+    for n in range(n_max + 1):
         mult = 1.0 if n == 0 else 2.0  # mirror piece at -n contributes equally for even t
-        for t in range(0, t_max + 1, 2):
-            totals[t] = dd_add(totals[t], dd_mul_d(vals[t], mult))
+        totals = dd_add(totals, dd_mul_d((vals[0][:, n], vals[1][:, n]), mult))
     # jacobian eps times piece scale delta/(2 eps) collapses to delta/2 exactly
     scale = dd_div_d((delta, 0.0), 2.0)
+    hi, lo = dd_mul(totals, scale)
     return [
-        dd_mul(totals[t], scale) if t % 2 == 0 else (0.0, 0.0)
+        (float(hi[t]), float(lo[t])) if t % 2 == 0 else (0.0, 0.0)
         for t in range(t_max + 1)
     ]
 

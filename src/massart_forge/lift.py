@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 SIZE_CAP = 20_000_000
+CONSISTENCY_BLOCK_ROWS = 1024  # sample rows lifted at once by check_consistency
 
 
 def _compositions(total: int, parts: int):
@@ -199,7 +200,12 @@ def check_consistency(
     endpoints = instance.pair.J2.endpoints
     near = np.min(np.abs(t[:, None] - endpoints[None, :]), axis=1) < exclusion
     kept = samples[~near]
-    lifted = np.where(weights.decision_values(kept) >= 0.0, 1, -1)
+    # lift in blocks of rows: all at once the feature matrix is len(kept) x M'
+    values = np.empty(len(kept))
+    for start in range(0, len(kept), CONSISTENCY_BLOCK_ROWS):
+        block = slice(start, start + CONSISTENCY_BLOCK_ROWS)
+        values[block] = weights.decision_values(kept[block])
+    lifted = np.where(values >= 0.0, 1, -1)
     direct = ptf_sign(instance, kept)
     return ConsistencyReport(
         n_checked=len(kept),

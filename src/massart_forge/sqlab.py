@@ -49,6 +49,7 @@ __all__ = [
     "Hypothesis",
     "learner_constant",
     "learner_chow",
+    "LEARNERS",
     "ExperimentReport",
     "distinguishing_experiment",
 ]
@@ -497,6 +498,8 @@ def learner_chow(oracle: SQOracle) -> Hypothesis:
     )
 
 
+LEARNERS = ("constant", "chow")  # names distinguishing_experiment accepts
+
 # ------------------------------------------------------- experiment
 
 
@@ -579,6 +582,9 @@ def distinguishing_experiment(
     Learners run on their own honest oracles; held-out errors use fresh
     samples, never oracle answers.
     """
+    for name in learners:
+        if name not in LEARNERS:
+            raise RangeError(f"unknown learner {name!r}")
     root = np.random.SeedSequence(seed)
     rng_dirs, rng_battery, rng_learn, rng_holdout = (
         np.random.default_rng(s) for s in root.spawn(4)
@@ -624,12 +630,7 @@ def distinguishing_experiment(
         child = np.random.default_rng(root.spawn(1)[0])
         honest = replace(oracle_config, mode="honest")
         oracle = SQOracle(dist_dv, honest, child, null_reference=dist_null)
-        if name == "constant":
-            hyp = learner_constant(oracle)
-        elif name == "chow":
-            hyp = learner_chow(oracle)
-        else:
-            raise RangeError(f"unknown learner {name!r}")
+        hyp = learner_constant(oracle) if name == "constant" else learner_chow(oracle)
         learner_errors[name] = hyp.error(x_hold, y_hold)
 
     nu, rho, alpha_chi, n_bound, c = _diagnostics(pair, m)

@@ -120,7 +120,7 @@ def _moment_section(pair, k: int) -> dict:
 def _fourier_section(pair) -> dict:
     cfg = pair.config
     rows = moments.fourier_certificate_check(cfg.delta, cfg.epsilon, 8)
-    z_disc = moments.comb_moment_discrepancies(cfg.delta, cfg.epsilon, 0)[0]
+    z_disc = rows[0][1]  # the measured order-0 discrepancy, |Z - 1|
     t0_bound = moments.fourier_discrepancy_bound(0, cfg.delta).total
     out = {
         "rows": [

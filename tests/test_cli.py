@@ -145,10 +145,18 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
         (["experiment", "--seeds", "-2"], "--seeds"),
         (["emit-density", "--grid", "0"], "--grid"),
         (["emit-density", "--grid", "1"], "--grid"),
+        (["emit-density", "--lo", "3", "--hi", "-3"], "--lo"),
+        (["emit-density", "--lo", "3", "--hi", "3"], "--hi"),
+        (["gen", "--zeta", "0.05", "--d", "10", "--epsilon", "0.05", "--eta", "0.3",
+          "--m", "0", "--n", "10", "--seed", "1"], "--m"),
+        (["verify", "--m", "0"], "--m"),
+        (["experiment", "--m", "0"], "--m"),
+        (["experiment", "--learners", "constant,bogus"], "--learners"),
     ],
 )
 def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):
-    code = run(argv + ["--out", tmp_path / "out", "--manifest", tmp_path / "m.json"])
+    out_flag = "--report" if argv[0] == "verify" else "--out"
+    code = run(argv + [out_flag, tmp_path / "out", "--manifest", tmp_path / "m.json"])
     assert code == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
