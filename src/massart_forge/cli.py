@@ -47,6 +47,26 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise RangeError(f"{flag} = {value} must be at least {least}")
 
 
+# every bounded numeric flag, checked on each command that has it before any
+# work, so bad input exits 2 naming the flag and writes nothing
+_FLOORS = {"--m": 1, "--n": 1, "--seeds": 1, "--seed": 0, "--k": 1, "--grid": 2}
+_INTERVALS = {
+    "--tau": ("(0, 1)", lambda v: 0.0 < v < 1.0),
+    "--eta": ("(0, 1/2]", lambda v: 0.0 < v <= 0.5),
+}
+
+
+def _check_bounds(args) -> None:
+    for flag, least in _FLOORS.items():
+        value = getattr(args, flag[2:], None)
+        if value is not None:
+            _require_at_least(flag, value, least)
+    for flag, (interval, ok) in _INTERVALS.items():
+        value = getattr(args, flag[2:], None)
+        if value is not None and not ok(value):
+            raise RangeError(f"{flag} out of range {interval}, got {value}")
+
+
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -192,7 +212,6 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _require_at_least("--m", args.m, 1)
     config = desk_config(args.zeta, args.d, args.epsilon)
     pair = build_hard_pair(config)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
@@ -249,7 +268,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_at_least("--m", args.m, 1)
     report = build_verification_report(
         zeta=args.zeta, d=args.d, epsilon=args.epsilon, eta=args.eta,
         m=args.m, k=args.k, seed=args.seed,
@@ -284,8 +302,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    _require_at_least("--seeds", args.seeds, 1)
-    _require_at_least("--m", args.m, 1)
     learners = tuple(s.strip() for s in args.learners.split(",") if s.strip())
     unknown = [name for name in learners if name not in LEARNERS]
     if unknown:
@@ -358,7 +374,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_emit_density(args) -> int:
-    _require_at_least("--grid", args.grid, 2)
     config = desk_config(args.zeta, args.d, args.epsilon)
     pair = build_hard_pair(config)
     lo = args.lo if args.lo is not None else -args.d * config.delta - 1.0
@@ -427,6 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         thread_cap()  # reject a bad MASSART_FORGE_THREADS before any output
+        _check_bounds(args)
         if args.command == "plan":
             return _cmd_plan(args)
         if args.command == "gen":

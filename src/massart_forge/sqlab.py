@@ -2,16 +2,17 @@
 baseline SQ learners, and the distinguishing experiment.
 
 The oracle answers expectations of bounded functions to accuracy tau.  A
-query carries r bounded columns over one set of direction rows, and each
-column counts as one query.  Honest mode answers a non-adaptive batch of q
-columns from one shared sample of ceil((C + 2 ln q)/tau^2) rows; Hoeffding
-and a union bound keep all q answers within tau except with probability
-<= 2e^(-C/2) (6.7e-4 at C = 16), and q = 1 gives ceil(C/tau^2).
-Adversarial mode answers each column's true expectation (closed form where
-the query has one, otherwise one honest batch at tau/4 for all such
-columns) plus a deterministic perturbation of at most tau, less the tau/4
-when the batch supplied the truth; the default adversary rounds toward the
-null distribution's value, the least informative answer.
+query carries r bounded statistics over one set of direction rows, evaluated
+as an (r, n) block with one row per statistic, and each statistic counts as
+one query.  Honest mode answers a non-adaptive batch of q statistics from
+one shared sample of ceil((C + 2 ln q)/tau^2) rows; Hoeffding and a union
+bound keep all q answers within tau except with probability <= 2e^(-C/2)
+(6.7e-4 at C = 16), and q = 1 gives ceil(C/tau^2).  Adversarial mode
+answers each statistic's true expectation (closed form where the query has
+one, otherwise one honest batch at tau/4 for all such statistics) plus a
+deterministic perturbation of at most tau, less the tau/4 when the batch
+supplied the truth; the default adversary rounds toward the null
+distribution's value, the least informative answer.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class SQQuery:
     all of x uses the identity, for which T = x.  The oracle therefore only
     ever samples the joint law of (T, y), which is distributionally
     identical to sampling full examples and projecting them.  ``g`` returns
-    an (n, r) block, r = len(descriptions), or a length-n vector when r = 1.
+    an (r, n) block, one row per statistic and r = len(descriptions), or a
+    length-n vector when r = 1.
 
     ``exact`` optionally computes the r true expectations for a given
     distribution object; queries without them fall back to certified Monte
@@ -89,10 +91,10 @@ class SQQuery:
 class OracleConfig:
     """Accuracy tau, answering mode, and the honest sizing constant C.
 
-    An honest batch of q queries (columns) draws ceil((C + 2 ln q)/tau^2)
+    An honest batch of q queries (statistics) draws ceil((C + 2 ln q)/tau^2)
     shared rows, enough for all q answers to lie within tau except with
     probability <= 2e^(-C/2); q = 1 gives ceil(C/tau^2).  ``query_budget``
-    caps the total number of columns one oracle answers.
+    caps the total number of statistics one oracle answers.
     """
 
     tau: float
@@ -208,12 +210,12 @@ class SQOracle:
         self.queries_used = 0
 
     def answer(self, query: SQQuery) -> float:
-        """The answer to a one-column query."""
+        """The answer to a one-statistic query."""
         return self.answer_batch([query])[0]
 
     def answer_batch(self, queries: Sequence[SQQuery]) -> list[float]:
         """Answers a batch of queries fixed before any answer is seen, one
-        float per column in order.  Each column counts as one query, and the
+        float per statistic in order.  Each statistic counts as one query, and the
         whole batch counts against the budget or none of it does.
         """
         queries = list(queries)
@@ -235,7 +237,7 @@ class SQOracle:
         truths = [self.distribution.true_expectation(query) for query in queries]
         missing = [query for query, true in zip(queries, truths) if true is None]
         if missing:
-            # one honest batch at tau/4 certifies every missing column
+            # one honest batch at tau/4 certifies every missing statistic
             # together; that tau/4 comes out of the adversary's budget
             q = sum(len(query.descriptions) for query in missing)
             n = replace(self.config, tau=tau / 4.0).samples_per_batch(q)
@@ -253,12 +255,12 @@ class SQOracle:
         return answers
 
     def _empirical_means(self, queries: list[SQQuery], n: int) -> list[float]:
-        """Mean of every column over one shared sample of n rows.
+        """Mean of every statistic over one shared sample of n rows.
 
         The queries' direction rows are stacked in order and sampled
         together in chunks small enough that no sampled or evaluated block
         exceeds 2^19 values; each query reads its own contiguous slice of
-        the sampled columns.
+        the sampled columns, and each statistic's row sums as one vector.
         """
         stacked = [query.directions for query in queries if len(query.directions)]
         directions = np.vstack(stacked) if stacked else _NO_DIRECTIONS
@@ -272,10 +274,8 @@ class SQOracle:
             row = col = 0
             for query, r in zip(queries, widths):
                 k = len(query.directions)
-                block = query.evaluate(t[:, row : row + k], y).reshape(chunk, -1)
-                # each column summed as its own contiguous row, as np.sum
-                # sums a vector (block.sum(axis=0) rounds differently)
-                totals[col : col + r] += np.ascontiguousarray(block.T).sum(axis=1)
+                block = query.evaluate(t[:, row : row + k], y).reshape(-1, chunk)
+                totals[col : col + r] += np.ascontiguousarray(block).sum(axis=1)
                 row, col = row + k, col + r
             remaining -= chunk
         return (totals / n).tolist()
@@ -323,12 +323,12 @@ def _signed_projection_moment(dist, u: np.ndarray, j: int) -> float:
 
 def projected_moment_query(u: np.ndarray, *orders: int) -> SQQuery:
     """phi_j(x, y) = y * clip(<u, x>, -R, R)^j / R^j, bounded moment probes,
-    one column per order j."""
+    one statistic per order j."""
     u = np.asarray(u, dtype=float)
 
     def g(t, y):
         c = np.clip(t[:, 0], -CLIP_RADIUS, CLIP_RADIUS) / CLIP_RADIUS
-        return np.stack([y * c**j for j in orders], axis=1)
+        return np.stack([y * c**j for j in orders], axis=0)
 
     return SQQuery(
         u[None, :],
@@ -370,15 +370,24 @@ def projected_indicator_query(u: np.ndarray, region: IntervalUnion) -> SQQuery:
 def chow_moment_query(m: int) -> SQQuery:
     """The degree-<=2 Chow parameters as one query over identity directions.
 
-    Columns are E[y], E[y c_i] and E[y c_i c_j] for i <= j (row-major upper
-    triangle), with c = clip(x, -R, R)/R: 1 + m + m(m+1)/2 columns in all.
+    Statistics are E[y], E[y c_i] and E[y c_i c_j] for i <= j (row-major
+    upper triangle), with c = clip(x, -R, R)/R: 1 + m + m(m+1)/2 in all.
+    Row y c_i c_j is computed as (y c_i) c_j, in place.
     """
     upper_i, upper_j = np.triu_indices(m)
 
     def g(t, y):
-        c = np.clip(t, -CLIP_RADIUS, CLIP_RADIUS) / CLIP_RADIUS
-        yc = y[:, None] * c
-        return np.hstack([y[:, None], yc, yc[:, upper_i] * c[:, upper_j]])
+        c = t.T.copy()  # one contiguous row per coordinate
+        np.clip(c, -CLIP_RADIUS, CLIP_RADIUS, out=c)
+        c /= CLIP_RADIUS
+        out = np.empty((1 + m + len(upper_i), len(y)))
+        out[0] = y
+        np.multiply(y, c, out=out[1 : m + 1])
+        row = m + 1
+        for i in range(m):
+            np.multiply(out[1 + i], c[i:], out=out[row : row + m - i])
+            row += m - i
+        return out
 
     return SQQuery(
         np.eye(m),
@@ -464,8 +473,8 @@ def learner_chow(oracle: SQOracle) -> Hypothesis:
 
     All interaction with the data goes through the oracle, in two
     non-adaptive queries: ``chow_moment_query``, then one misclassification
-    column per threshold candidate; an honest oracle answers all q columns
-    of each within tau except with probability <= 2e^(-C/2).  Candidates
+    statistic per threshold candidate; an honest oracle answers all q
+    statistics of each within tau except with probability <= 2e^(-C/2).  Candidates
     sweep the functional's guaranteed range [-sum|c|, sum|c|], whose
     extremes recover the constant hypotheses, so the learner never does
     worse than the better constant by more than query accuracy.  The
@@ -486,7 +495,7 @@ def learner_chow(oracle: SQOracle) -> Hypothesis:
     thetas = np.linspace(-scale, scale, 9)
     errors = SQQuery(
         np.eye(m),
-        lambda t, y: (np.where(f_values(t)[:, None] - thetas >= 0.0, 1, -1) != y[:, None]) * 1.0,
+        lambda t, y: (np.where(f_values(t) - thetas[:, None] >= 0.0, 1, -1) != y) * 1.0,
         tuple(f"err(theta={theta:.4g})" for theta in thetas),
     )
     errs = oracle.answer_batch([errors])
@@ -553,8 +562,8 @@ def _diagnostics(pair: HardPair, m: int, k: int = 12) -> tuple[float, float, flo
     return nu, rho, alpha_chi, n_bound, c
 
 
-def _column_truths(dist, queries: list[SQQuery]) -> list[float | None]:
-    """Each column's closed-form expectation under dist, None where absent."""
+def _statistic_truths(dist, queries: list[SQQuery]) -> list[float | None]:
+    """Each statistic's closed-form expectation under dist, None where absent."""
     return [
         value
         for query in queries
@@ -617,8 +626,8 @@ def distinguishing_experiment(
             [description for query in battery for description in query.descriptions],
             answers_dv,
             answers_null,
-            _column_truths(dist_dv, battery),
-            _column_truths(dist_null, battery),
+            _statistic_truths(dist_dv, battery),
+            _statistic_truths(dist_null, battery),
         )
     ]
     planted_gap = rows[0]["gap"]

@@ -1,8 +1,12 @@
 import json
+import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from massart_forge import moments, verification
+from massart_forge import cli, moments, verification
 from massart_forge.cli import main
 from massart_forge.errors import MassartForgeError
 
@@ -152,6 +156,12 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
         (["verify", "--m", "0"], "--m"),
         (["experiment", "--m", "0"], "--m"),
         (["experiment", "--learners", "constant,bogus"], "--learners"),
+        (["verify", "--k", "-1"], "--k"),
+        (["verify", "--k", "0"], "--k"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["experiment", "--seed", "-1"], "--seed"),
+        (["gen", "--zeta", "0.05", "--d", "10", "--epsilon", "0.05", "--eta", "0.3",
+          "--m", "4", "--n", "10", "--seed", "-1"], "--seed"),
     ],
 )
 def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):
@@ -159,4 +169,70 @@ def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):
     code = run(argv + [out_flag, tmp_path / "out", "--manifest", tmp_path / "m.json"])
     assert code == 2
     assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+_BASE_ARGS = {
+    "plan": ["--log-M", "1e4", "--zeta-exp", "0.5", "--eta", "0.49"],
+    "gen": ["--zeta", "0.05", "--d", "10", "--epsilon", "0.05", "--eta", "0.3",
+            "--m", "4", "--n", "10", "--seed", "1"],
+    "verify": [],
+    "experiment": [],
+    "emit-density": [],
+}
+_FLAG_COMMANDS = {
+    "--m": ("gen", "verify", "experiment"),
+    "--n": ("gen",),
+    "--seeds": ("experiment",),
+    "--seed": ("gen", "verify", "experiment"),
+    "--k": ("verify",),
+    "--grid": ("emit-density",),
+    "--tau": ("experiment",),
+    "--eta": ("plan", "gen", "verify", "experiment"),
+}
+_OUT_OF_RANGE = {
+    "--m": st.integers(max_value=0),
+    "--n": st.integers(max_value=0),
+    "--seeds": st.integers(max_value=0),
+    "--seed": st.integers(max_value=-1),
+    "--k": st.integers(max_value=0),
+    "--grid": st.integers(max_value=1),
+    "--tau": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)),
+    "--eta": st.one_of(
+        st.floats(max_value=0.0), st.floats(min_value=0.5, exclude_min=True), st.just(math.nan)
+    ),
+}
+
+
+@st.composite
+def _bad_invocation(draw):
+    flag = draw(st.sampled_from(sorted(_FLAG_COMMANDS)))
+    command = draw(st.sampled_from(_FLAG_COMMANDS[flag]))
+    return command, flag, draw(_OUT_OF_RANGE[flag])
+
+
+# every case must be refused before the output directory is touched, so one
+# tmp_path serves all examples
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_bad_invocation())
+def test_out_of_range_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch, case):
+    command, flag, value = case
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("plan", "desk_config", "build_hard_pair", "build_verification_report",
+                 "distinguishing_experiment"):
+        monkeypatch.setattr(cli, name, work)
+    out_flag = "--report" if command == "verify" else "--out"
+    argv = [command, *_BASE_ARGS[command], f"{flag}={value}",
+            out_flag, tmp_path / "out", "--manifest", tmp_path / "m.json"]
+    assert run(argv) == 2
+    named = re.compile(re.escape(flag) + r"\b")  # "--seed" must not match "--seeds"
+    assert any(named.search(line) for line in capsys.readouterr().err.splitlines())
     assert list(tmp_path.iterdir()) == []

@@ -163,7 +163,7 @@ def test_batch_columns_map_to_their_directions(planted):
     y = np.where(x[:, 0] >= 0.0, 1, -1)
     for query, got in zip(queries, _per_query(queries, answers)):
         t = x @ query.directions.T if len(query.directions) else np.empty((n, 0))
-        want = query.evaluate(t, y).reshape(n, -1).mean(axis=0)
+        want = query.evaluate(t, y).reshape(-1, n).mean(axis=1)
         assert got == pytest.approx(want.tolist(), abs=1e-12), query.descriptions
 
 
@@ -465,12 +465,61 @@ def test_chow_columns_are_the_named_monomials(rng):
     y = np.where(rng.random(50) < 0.5, 1, -1)
     c = np.clip(t, -sqlab.CLIP_RADIUS, sqlab.CLIP_RADIUS) / sqlab.CLIP_RADIUS
     block = query.evaluate(t, y)
-    assert block.shape == (50, 1 + m + m * (m + 1) // 2)
-    for col, description in enumerate(query.descriptions):
+    assert block.shape == (1 + m + m * (m + 1) // 2, 50)  # one row per statistic
+    for row, description in enumerate(query.descriptions):
         want = y.astype(float)
         for factor in description.split("*")[1:]:  # "c_i", 1-based
             want = want * c[:, int(factor[2:]) - 1]
-        assert np.array_equal(block[:, col], want), description
+        assert np.array_equal(block[row], want), description
+
+
+def test_chow_batch_is_bitwise_per_column(planted):
+    # every Chow coefficient and threshold error equals its statistic built
+    # as its own length-n vector, (y c_i) c_j, and summed alone by np.sum,
+    # chunk by chunk on the same stream
+    pair, instance, directions = planted
+    dist = sqlab.InstanceDistribution(instance)
+    config = sqlab.OracleConfig(tau=0.02)
+    oracle = sqlab.SQOracle(dist, config, np.random.default_rng(21))
+    answered = []
+    answer_batch = oracle.answer_batch
+    oracle.answer_batch = lambda queries: answered.append(answer_batch(queries)) or answered[-1]
+    sqlab.learner_chow(oracle)
+    coeffs, errs = answered
+    m, radius = instance.m, sqlab.CLIP_RADIUS
+    upper_i, upper_j = np.triu_indices(m)
+    assert len(coeffs) == 231 and len(errs) == 9
+
+    scale = float(np.sum(np.abs(coeffs))) + 1e-12
+    thetas = np.linspace(-scale, scale, 9)
+    linear = np.array(coeffs[1 : m + 1])
+    quadratic = np.zeros((m, m))
+    quadratic[upper_i, upper_j] = coeffs[m + 1 :]
+
+    def chow_columns(c, y):
+        yield y.astype(float)
+        yield from (y * c[:, i] for i in range(m))
+        yield from ((y * c[:, i]) * c[:, j] for i, j in zip(upper_i, upper_j))
+
+    def error_columns(c, y):
+        f = coeffs[0] + c @ linear + ((c @ quadratic) * c).sum(axis=1)
+        yield from ((np.where(f - theta >= 0.0, 1, -1) != y) * 1.0 for theta in thetas)
+
+    rng = np.random.default_rng(21)
+    for columns, got, rows_per_chunk in [
+        (chow_columns, coeffs, (1 << 19) // 231),
+        (error_columns, errs, (1 << 19) // m),
+    ]:
+        n = config.samples_per_batch(len(got))
+        totals, remaining = np.zeros(len(got)), n
+        while remaining > 0:
+            chunk = min(remaining, rows_per_chunk)
+            t, y = dist.sample_projected(rng, chunk, np.eye(m))
+            c = np.clip(t, -radius, radius) / radius
+            for col, vector in enumerate(columns(c, y)):
+                totals[col] += np.sum(np.clip(vector, -1.0, 1.0))
+            remaining -= chunk
+        assert got == (totals / n).tolist()
 
 
 def test_learner_chow_realizable(rng):
