@@ -9,7 +9,6 @@ from .hardpair import (
     IntervalUnion,
     PiecewiseGaussianMeasure,
     build_hard_pair,
-    density,
     mass_in,
     sample,
     total_mass,
@@ -31,7 +30,6 @@ from .moments import (
     gaussian_moment,
     measure_moment,
     moment_discrepancy_report,
-    truncated_gaussian_moment,
 )
 from .planner import (
     AsymptoticPlan,

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, serialize
-from .errors import MassartForgeError, RangeError
+from .errors import DirectionSetError, MassartForgeError, RangeError
 from .hardpair import build_hard_pair, density_curve
 from .instance import make_instance, opt_error, random_unit_vector, sample_labeled
 from .planner import Constants, desk_config, plan
-from .sqlab import LEARNERS, OracleConfig, distinguishing_experiment
+from .sqlab import DIRECTION_C, LEARNERS, N_PROBES, OracleConfig, distinguishing_experiment
 from .verification import SECTIONS, build_verification_report
 
 RNG_NAME = "numpy default_rng (PCG64)"
@@ -48,11 +48,14 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
 
 
 # every bounded numeric flag, checked on each command that has it before any
-# work, so bad input exits 2 naming the flag and writes nothing
-_FLOORS = {"--m": 1, "--n": 1, "--seeds": 1, "--seed": 0, "--k": 1, "--grid": 2}
+# work, so bad input exits 2 naming the flag and writes nothing; the coupled
+# constraints delta < 1 and epsilon < delta/8 stay with HardPairConfig
+_FLOORS = {"--m": 1, "--n": 1, "--seeds": 1, "--seed": 0, "--k": 1, "--grid": 2, "--d": 2}
 _INTERVALS = {
     "--tau": ("(0, 1)", lambda v: 0.0 < v < 1.0),
     "--eta": ("(0, 1/2]", lambda v: 0.0 < v <= 0.5),
+    "--zeta": ("(0, 1/2)", lambda v: 0.0 < v < 0.5),
+    "--epsilon": ("(0, inf)", lambda v: v > 0.0),
 }
 
 
@@ -318,11 +321,17 @@ def _cmd_experiment(args) -> int:
         )
 
     workers = min(thread_cap(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, seeds))
-    else:
-        reports = [run_one(s) for s in seeds]
+    try:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(run_one, seeds))
+        else:
+            reports = [run_one(s) for s in seeds]
+    except DirectionSetError as exc:
+        raise RangeError(
+            f"--m = {args.m} is too small: found no {N_PROBES + 1} directions (the hidden "
+            f"one and {N_PROBES} probes) at pairwise |<u, v>| <= c = {DIRECTION_C}; {exc}"
+        ) from exc
 
     first = reports[0]
     aggregate = {

@@ -31,6 +31,8 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
 _LN2_HI = 6.931471805599452862e-01
 _LN2_LO = 2.319046813846299558e-17
 
+_COMB_NODES = 28  # Gauss-Legendre nodes per comb period
+
 
 def two_sum(a: float, b: float) -> tuple[float, float]:
     """Exact sum of two doubles as (fl(a+b), roundoff)."""
@@ -206,7 +208,7 @@ def _gaussian_pdf_dd(x: tuple[float, float]) -> tuple[float, float]:
 
 
 def _comb_moments_dd(
-    delta: float, eps: float, t_max: int, n_max: int | None, n_nodes: int = 28
+    delta: float, eps: float, t_max: int, n_max: int | None
 ) -> list[tuple[float, float]]:
     """Comb moments 0..t_max as dd values; odd entries are exact zeros.
 
@@ -217,7 +219,7 @@ def _comb_moments_dd(
     """
     if n_max is None:
         n_max = math.ceil(14.0 / delta)
-    nodes, weights = gauss_legendre_dd(n_nodes)
+    nodes, weights = gauss_legendre_dd(_COMB_NODES)
     xi = (np.array([v[0] for v in nodes]), np.array([v[1] for v in nodes]))
     w = (np.array([v[0] for v in weights]), np.array([v[1] for v in weights]))
     c = two_prod(np.arange(n_max + 1, dtype=float)[:, None], delta)
@@ -230,7 +232,7 @@ def _comb_moments_dd(
         p = dd_mul(p, x)
     # vals[t, n]: node sum of period n at order t
     vals = (np.zeros(powers_hi.shape[:2]), np.zeros(powers_hi.shape[:2]))
-    for j in range(n_nodes):
+    for j in range(_COMB_NODES):
         vals = dd_add(vals, (powers_hi[:, :, j], powers_lo[:, :, j]))
     totals = (np.zeros(t_max + 1), np.zeros(t_max + 1))
     for n in range(n_max + 1):

@@ -30,7 +30,6 @@ __all__ = [
     "PiecewiseGaussianMeasure",
     "HardPair",
     "build_hard_pair",
-    "density",
     "total_mass",
     "mass_in",
     "cdf",
@@ -131,20 +130,6 @@ class IntervalUnion:
         ok = idx >= 0
         idx = np.clip(idx, 0, len(starts) - 1)
         return ok & (x <= ends[idx])
-
-    def complement(self, lo: float = -math.inf, hi: float = math.inf) -> "IntervalUnion":
-        """The closed intervals of [lo, hi] not covered by this union."""
-        out = []
-        cur = lo
-        for a, b in self.intervals:
-            if b < lo or a > hi:
-                continue
-            if a > cur:
-                out.append((cur, a))
-            cur = max(cur, b)
-        if cur < hi:
-            out.append((cur, hi))
-        return IntervalUnion(tuple(out))
 
     @property
     def endpoints(self) -> np.ndarray:
@@ -254,11 +239,6 @@ def build_hard_pair(config: HardPairConfig) -> HardPair:
     return HardPair(config=config, A=A, B=B, J1=J1, J2=J2)
 
 
-def density(measure: PiecewiseGaussianMeasure, x):
-    """Normalised density of the measure at x (vectorised, total function)."""
-    return measure.density(x)
-
-
 def total_mass(measure: PiecewiseGaussianMeasure) -> tuple[float, float]:
     """(sum of retained unnormalised piece masses, bound on neglected mass).
 
@@ -287,7 +267,10 @@ def mass_in(measure: PiecewiseGaussianMeasure, region: IntervalUnion) -> float:
 
 
 def cdf(measure: PiecewiseGaussianMeasure, x):
-    """Normalised CDF of the measure (vectorised)."""
+    """Normalised CDF of the measure (vectorised).
+
+    Kept as the reference that test_sampling_ks compares ``sample`` against.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     full = measure.scale * phi_mass(measure.a + measure.shift, measure.b + measure.shift)
     cum = np.concatenate([[0.0], np.cumsum(full)])

@@ -48,6 +48,8 @@ def build_interval_polynomial(region: IntervalUnion) -> np.ndarray:
 def evaluate_from_roots(roots: np.ndarray, t) -> np.ndarray:
     """q(t) as the explicit root product; numerically stable at any degree.
 
+    Kept until the lift check's sign certification (ROADMAP item 5) decides its use.
+
     The expanded coefficient form loses the sign near roots once the degree
     grows past ~20; the product form keeps relative error at ~degree * ulp.
     """

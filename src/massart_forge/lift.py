@@ -60,18 +60,14 @@ class MonomialBasis:
     def __len__(self) -> int:
         return len(self.exponents)
 
-    @property
-    def total_degrees(self) -> np.ndarray:
-        return np.array([sum(e) for e in self.exponents])
 
-
-def enumerate_basis(m: int, degree: int, size_cap: int = SIZE_CAP) -> MonomialBasis:
+def enumerate_basis(m: int, degree: int) -> MonomialBasis:
     if m < 1 or degree < 0:
         raise RangeError(f"need m >= 1 and degree >= 0, got m = {m}, degree = {degree}")
     size = math.comb(m + degree, degree)
-    if size > size_cap:
+    if size > SIZE_CAP:
         raise BasisSizeError(
-            f"basis would hold {size} monomials, over the cap of {size_cap}"
+            f"basis would hold {size} monomials, over the cap of {SIZE_CAP}"
         )
     exponents: list[tuple[int, ...]] = []
     for deg in range(degree + 1):
@@ -125,22 +121,9 @@ class HalfspaceWeights:
     basis: MonomialBasis
     M: int
 
-    @property
-    def M_prime(self) -> int:
-        return len(self.basis)
-
     def decision_values(self, x: np.ndarray) -> np.ndarray:
         """<w, E(x)> for the zero-padded embedding; padding contributes 0."""
         return veronese(self.basis, x) @ self.w[: len(self.basis)]
-
-    def to_dict(self) -> dict:
-        """Export schema: {M, M_prime, basis_order, w}."""
-        return {
-            "M": self.M,
-            "M_prime": self.M_prime,
-            "basis_order": "grlex",
-            "w": [float(val) for val in self.w],
-        }
 
 
 def halfspace_from_ptf(

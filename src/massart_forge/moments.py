@@ -28,14 +28,12 @@ from .hardpair import (
 __all__ = [
     "K_MAX",
     "gaussian_moment",
-    "truncated_gaussian_moment",
     "measure_moment",
     "quadrature_moment",
     "MomentReport",
     "moment_discrepancy_report",
     "FourierBoundCertificate",
     "fourier_discrepancy_bound",
-    "normalized_discrepancy_bound",
     "fourier_certificate_check",
     "scaling_law_points",
     "ChiSquare",
@@ -56,37 +54,13 @@ def gaussian_moment(t: int) -> float:
     return float(_double_factorial(t - 1)) if t > 0 else 1.0
 
 
-def _edge_term(x: float, power: int) -> float:
-    # x^power * G(x), with the correct 0 limit at +-inf
-    if math.isinf(x):
-        return 0.0
-    return x**power * float(gaussian_pdf(x))
+def _piece_moment_table(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
+    """M_j(a_i, b_i) for j = 0..t, vectorised over pieces: the integral of
+    x^j G(x) over [a_i, b_i] by the integration-by-parts recurrence
 
-
-def truncated_gaussian_moment(a: float, b: float, t: int) -> float:
-    """Integral of x^t G(x) over [a, b] by the integration-by-parts recurrence
-
-        M_t = (t-1) M_{t-2} + a^{t-1} G(a) - b^{t-1} G(b),
+        M_j = (j-1) M_{j-2} + a^{j-1} G(a) - b^{j-1} G(b),
         M_0 = Phi(b) - Phi(a),  M_1 = G(a) - G(b).
     """
-    if a > b:
-        raise ValueError(f"a = {a} > b = {b}")
-    if t < 0:
-        raise MomentRangeError(f"t = {t} must be nonnegative")
-    m_prev2 = float(phi_mass(a, b))
-    if t == 0:
-        return m_prev2
-    m_prev1 = _edge_term(a, 0) - _edge_term(b, 0)
-    if t == 1:
-        return m_prev1
-    for j in range(2, t + 1):
-        m_j = (j - 1) * m_prev2 + _edge_term(a, j - 1) - _edge_term(b, j - 1)
-        m_prev2, m_prev1 = m_prev1, m_j
-    return m_prev1
-
-
-def _piece_moment_table(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
-    """M_j(a_i, b_i) for j = 0..t, vectorised over pieces."""
     ga, gb = gaussian_pdf(a), gaussian_pdf(b)
     table = np.empty((t + 1, len(a)))
     table[0] = phi_mass(a, b)
@@ -101,15 +75,15 @@ def _piece_moment_table(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
     return table
 
 
-def measure_moment(measure: PiecewiseGaussianMeasure, t: int, k_max: int = K_MAX) -> float:
+def measure_moment(measure: PiecewiseGaussianMeasure, t: int) -> float:
     """E X^t under the normalised measure, assembled per piece.
 
     Shifted pieces expand (x - h)^t binomially over truncated moments of
     the shifted interval; per-piece terms are combined with exact
     compensated summation.
     """
-    if not (0 <= t <= k_max):
-        raise MomentRangeError(f"t = {t} outside [0, k_max = {k_max}]")
+    if not (0 <= t <= K_MAX):
+        raise MomentRangeError(f"t = {t} outside [0, k_max = {K_MAX}]")
     a_s = measure.a + measure.shift
     b_s = measure.b + measure.shift
     table = _piece_moment_table(a_s, b_s, t)
@@ -191,21 +165,6 @@ def fourier_discrepancy_bound(t: int, delta: float) -> FourierBoundCertificate:
     )
 
 
-def normalized_discrepancy_bound(t: int, delta: float) -> float:
-    """Certified bound on |E G^t - E A^t| for the normalised comb.
-
-    Chains the raw certificate with the explicit normalisation correction
-    |1/Z - 1| <= c0 / (1 - c0), c0 the order-0 certificate:
-    |E A^t - E G^t| <= total_t + (|E G^t| + total_t) * c0/(1-c0).
-    """
-    total_t = fourier_discrepancy_bound(t, delta).total
-    c0 = fourier_discrepancy_bound(0, delta).total
-    if c0 >= 1.0:
-        return math.inf
-    amp = c0 / (1.0 - c0)
-    return total_t + (abs(gaussian_moment(t)) + total_t) * amp
-
-
 def fourier_certificate_check(
     delta: float, eps: float, t_max: int = 8
 ) -> list[tuple[int, float, float, bool]]:
@@ -221,18 +180,17 @@ def fourier_certificate_check(
     return out
 
 
-def scaling_law_points(
-    zeta: float, d_values: list[int], t: int, eps_fraction: float = 0.1
-) -> list[tuple[float, float]]:
+def scaling_law_points(zeta: float, d_values: list[int], t: int) -> list[tuple[float, float]]:
     """(1/delta^2, measured normalised discrepancy at order t) per d.
 
+    Kept for acceptance criterion 3, which fits the decay's log-linear slope.
     Measured in double-double so the decay stays visible far below the
-    double rounding floor; epsilon is set to eps_fraction * delta.
+    double rounding floor; epsilon is set to delta/10.
     """
     pts = []
     for d in d_values:
         delta = 4.0 * math.sqrt(math.log(1.0 / zeta)) / d
-        eps = eps_fraction * delta
+        eps = 0.1 * delta
         disc = comb_moment_discrepancies(delta, eps, t, normalized=True)[t]
         pts.append((1.0 / delta**2, disc))
     return pts

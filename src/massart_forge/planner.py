@@ -167,9 +167,9 @@ def plan(M_log: float, eta: float, zeta: float, constants: Constants = Constants
     )
 
 
-def desk_config(zeta: float, d: int, epsilon: float, n_max: int | None = None) -> HardPairConfig:
+def desk_config(zeta: float, d: int, epsilon: float) -> HardPairConfig:
     """A directly specified feasible configuration for exact numerics."""
-    return HardPairConfig(zeta=zeta, d=d, epsilon=epsilon, n_max=n_max)
+    return HardPairConfig(zeta=zeta, d=d, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import math
 
+INDENT = 2  # spaces per nesting level
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+
+def _render(obj, level: int) -> str:
+    pad = " " * (INDENT * (level + 1))
+    closing = " " * (INDENT * level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         rows = [
-            f'{pad}"{key}": {_render(val, indent, level + 1)}'
+            f'{pad}"{key}": {_render(val, level + 1)}'
             for key, val in obj.items()
         ]
         return "{\n" + ",\n".join(rows) + "\n" + closing + "}"
@@ -24,7 +26,7 @@ def _render(obj, indent: int, level: int) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        rows = [f"{pad}{_render(val, indent, level + 1)}" for val in seq]
+        rows = [f"{pad}{_render(val, level + 1)}" for val in seq]
         return "[\n" + ",\n".join(rows) + "\n" + closing + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -43,10 +45,10 @@ def _render(obj, indent: int, level: int) -> str:
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    return _render(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    return _render(obj, 0) + "\n"
 
 
-def dump(obj, path, indent: int = 2) -> None:
+def dump(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(obj, indent))
+        handle.write(dumps(obj))

@@ -11,8 +11,8 @@ bound keep all q answers within tau except with probability <= 2e^(-C/2)
 answers each statistic's true expectation (closed form where the query has
 one, otherwise one honest batch at tau/4 for all such statistics) plus a
 deterministic perturbation of at most tau, less the tau/4 when the batch
-supplied the truth; the default adversary rounds toward the null
-distribution's value, the least informative answer.
+supplied the truth; the adversary rounds toward the null distribution's
+value, the least informative answer.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "SQOracle",
     "NullDistribution",
     "InstanceDistribution",
-    "constant_query",
     "label_mean_query",
     "projected_moment_query",
     "projected_indicator_query",
@@ -55,10 +54,16 @@ __all__ = [
     "distinguishing_experiment",
 ]
 
+C = 16.0  # honest sizing constant: per-batch failure probability <= 2e^(-C/2)
 CLIP_RADIUS = 6.0  # moment queries clip the projection at 6 sigma; the
 # clipped-tail bias (< 1e-6 for degree <= 4) is folded into the oracle's
 # tau guarantee.
 _NO_DIRECTIONS = np.empty((0, 0))  # rows of a query that ignores x
+# the experiment's probes: N_PROBES directions, each moment order per probe,
+# drawn with the hidden direction at pairwise |<u, v>| <= DIRECTION_C
+N_PROBES = 20
+DIRECTION_C = 0.3
+MOMENT_ORDERS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -89,17 +94,16 @@ class SQQuery:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Accuracy tau, answering mode, and the honest sizing constant C.
+    """Accuracy tau and answering mode.
 
     An honest batch of q queries (statistics) draws ceil((C + 2 ln q)/tau^2)
-    shared rows, enough for all q answers to lie within tau except with
-    probability <= 2e^(-C/2); q = 1 gives ceil(C/tau^2).  ``query_budget``
+    shared rows at C = 16, enough for all q answers to lie within tau except
+    with probability <= 2e^(-C/2); q = 1 gives ceil(C/tau^2).  ``query_budget``
     caps the total number of statistics one oracle answers.
     """
 
     tau: float
     mode: str = "honest"  # "honest" or "adversarial"
-    sample_constant: float = 16.0
     query_budget: int = 1_000_000
 
     def __post_init__(self):
@@ -109,7 +113,7 @@ class OracleConfig:
             raise RangeError(f"unknown oracle mode {self.mode!r}")
 
     def samples_per_batch(self, q: int) -> int:
-        return math.ceil((self.sample_constant + 2.0 * math.log(q)) / self.tau**2)
+        return math.ceil((C + 2.0 * math.log(q)) / self.tau**2)
 
 
 def _covariance_root(sigma: np.ndarray) -> np.ndarray:
@@ -200,13 +204,11 @@ class SQOracle:
         config: OracleConfig,
         rng: np.random.Generator,
         null_reference: NullDistribution | None = None,
-        adversary: Callable[[float, float, float], float] = _round_toward,
     ):
         self.distribution = distribution
         self.config = config
         self.rng = rng
         self.null_reference = null_reference
-        self.adversary = adversary
         self.queries_used = 0
 
     def answer(self, query: SQQuery) -> float:
@@ -251,7 +253,7 @@ class SQOracle:
             null_vals = true
             if self.null_reference is not None:
                 null_vals = self.null_reference.true_expectation(query) or true
-            answers += [self.adversary(t, nv, budget) for t, nv in zip(true, null_vals)]
+            answers += [_round_toward(t, nv, budget) for t, nv in zip(true, null_vals)]
         return answers
 
     def _empirical_means(self, queries: list[SQQuery], n: int) -> list[float]:
@@ -282,15 +284,6 @@ class SQOracle:
 
 
 # ---------------------------------------------------------------- queries
-
-
-def constant_query() -> SQQuery:
-    return SQQuery(
-        _NO_DIRECTIONS,
-        lambda t, y: np.ones(len(y)),
-        ("constant 1",),
-        exact=lambda dist: (1.0,),
-    )
 
 
 def label_mean_query() -> SQQuery:
@@ -407,15 +400,11 @@ def pair_failure_bound(m: int, c: float) -> float:
 
 
 def near_orthogonal_set(
-    m: int,
-    c: float,
-    target_size: int,
-    rng: np.random.Generator,
-    max_tries: int | None = None,
+    m: int, c: float, target_size: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform unit vectors, rejection-resampled until pairwise |<u,v>| <= c.
 
-    The default try budget is sized from the per-pair failure bound
+    The try budget is sized from the per-pair failure bound
     2e^{-c^2 m/4} + 2e^{-m/32}: ten attempts per requested vector, inflated
     by the bound's per-candidate rejection estimate (capped, since the
     union bound turns vacuous long before sampling actually struggles).
@@ -425,9 +414,8 @@ def near_orthogonal_set(
     if target_size < 1:
         raise RangeError("target_size must be at least 1")
     p_bound = pair_failure_bound(m, c)
-    if max_tries is None:
-        reject = min(0.9, (target_size - 1) * p_bound)
-        max_tries = math.ceil(10.0 * target_size / (1.0 - reject))
+    reject = min(0.9, (target_size - 1) * p_bound)
+    max_tries = math.ceil(10.0 * target_size / (1.0 - reject))
     out = np.empty((target_size, m))
     count = 0
     tries = 0
@@ -577,9 +565,7 @@ def distinguishing_experiment(
     m: int,
     oracle_config: OracleConfig,
     seed: int,
-    n_directions: int = 20,
-    direction_c: float = 0.3,
-    moment_orders: tuple[int, ...] = (1, 2),
+    n_directions: int = N_PROBES,
     learners: tuple[str, ...] = ("constant", "chow"),
     holdout: int = 100_000,
 ) -> ExperimentReport:
@@ -587,7 +573,7 @@ def distinguishing_experiment(
     train the baseline learners; one seed per call.
 
     The hidden direction and the probe directions come from one
-    near-orthogonal set, so every probe satisfies |<u, v>| <= direction_c.
+    near-orthogonal set, so every probe satisfies |<u, v>| <= DIRECTION_C.
     Learners run on their own honest oracles; held-out errors use fresh
     samples, never oracle answers.
     """
@@ -599,9 +585,9 @@ def distinguishing_experiment(
         np.random.default_rng(s) for s in root.spawn(4)
     )
 
-    pair = build_hard_pair(config)
-    vectors = near_orthogonal_set(m, direction_c, n_directions + 1, rng_dirs)
+    vectors = near_orthogonal_set(m, DIRECTION_C, n_directions + 1, rng_dirs)
     v, directions = vectors[0], vectors[1:]
+    pair = build_hard_pair(config)
     instance = make_instance(pair, v, eta)
     dist_dv = InstanceDistribution(instance)
     dist_null = NullDistribution(m, 1.0 - eta)
@@ -610,7 +596,7 @@ def distinguishing_experiment(
     oracle_null = SQOracle(dist_null, oracle_config, rng_battery, null_reference=dist_null)
 
     battery = [projected_indicator_query(v, pair.J1), label_mean_query()]
-    battery += [projected_moment_query(u, *moment_orders) for u in directions]
+    battery += [projected_moment_query(u, *MOMENT_ORDERS) for u in directions]
     answers_dv = oracle_dv.answer_batch(battery)
     answers_null = oracle_null.answer_batch(battery)
     rows = [

@@ -156,7 +156,8 @@ def _chi_square_section(pair) -> dict:
     return out
 
 
-def _massart_section(pair, eta: float, m: int, seed: int, n: int = 100_000) -> dict:
+def _massart_section(pair, eta: float, m: int, seed: int) -> dict:
+    n = 100_000
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     v = random_unit_vector(m, rng)
     instance = make_instance(pair, v, eta)
@@ -206,7 +207,7 @@ def _tsybakov_section(pair, seed: int) -> dict:
     return out
 
 
-def _lift_section(seed: int, n_samples: int = 10_000, n_bridge: int = 200) -> dict:
+def _lift_section(seed: int) -> dict:
     cfg = HardPairConfig(zeta=LIFT_ZETA, d=LIFT_D, epsilon=LIFT_EPS)
     pair = build_hard_pair(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed + 2))
@@ -215,11 +216,11 @@ def _lift_section(seed: int, n_samples: int = 10_000, n_bridge: int = 200) -> di
     degree = len(instance.J2_polynomial) - 1
     basis = enumerate_basis(LIFT_M, degree)
     weights = halfspace_from_ptf(v, instance.J2_polynomial, basis, len(basis) + 8)
-    x, _ = sample_labeled(instance, rng, n_samples)
+    x, _ = sample_labeled(instance, rng, 10_000)
     report = check_consistency(instance, weights, x)
 
     worst_bridge = 0.0
-    for _ in range(n_bridge):
+    for _ in range(200):  # random polynomials through the linearity bridge
         mm = int(rng.integers(2, 5))
         dd = int(rng.integers(1, 7))
         bb = enumerate_basis(mm, dd)
@@ -256,13 +257,7 @@ def _lift_section(seed: int, n_samples: int = 10_000, n_bridge: int = 200) -> di
 
 
 def build_verification_report(
-    zeta: float,
-    d: int,
-    epsilon: float,
-    eta: float = 0.3,
-    m: int = 8,
-    k: int = 12,
-    seed: int = 0,
+    zeta: float, d: int, epsilon: float, eta: float, m: int, k: int, seed: int
 ) -> dict:
     """Run every check block on the given configuration; pass iff all pass."""
     started = time.time()

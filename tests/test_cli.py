@@ -112,6 +112,20 @@ def test_experiment_single_learner(tmp_path):
         assert key in report
 
 
+def test_thread_cap_leaves_report_unchanged(tmp_path, monkeypatch):
+    # at a cap of 2 the two seeds run on the thread pool; the report has no
+    # run-time field, so its bytes must not depend on the cap
+    reports = []
+    for cap in ("1", "2"):
+        monkeypatch.setenv("MASSART_FORGE_THREADS", cap)
+        out = tmp_path / f"exp_{cap}.json"
+        code = run(["experiment", "--seeds", "2", "--seed", "3", "--learners", "constant",
+                    "--out", out, "--manifest", tmp_path / f"m_{cap}.json"])
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("raw", ["two", "1.5", "0", "-3"])
 def test_bad_thread_cap_exits_2_before_output(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("MASSART_FORGE_THREADS", raw)
@@ -162,6 +176,7 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
         (["experiment", "--seed", "-1"], "--seed"),
         (["gen", "--zeta", "0.05", "--d", "10", "--epsilon", "0.05", "--eta", "0.3",
           "--m", "4", "--n", "10", "--seed", "-1"], "--seed"),
+        (["experiment", "--m", "8"], "--m"),  # too few dimensions for 21 directions
     ],
 )
 def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):
@@ -189,6 +204,9 @@ _FLAG_COMMANDS = {
     "--grid": ("emit-density",),
     "--tau": ("experiment",),
     "--eta": ("plan", "gen", "verify", "experiment"),
+    "--d": ("gen", "verify", "experiment", "emit-density"),
+    "--zeta": ("gen", "verify", "experiment", "emit-density"),
+    "--epsilon": ("gen", "verify", "experiment", "emit-density"),
 }
 _OUT_OF_RANGE = {
     "--m": st.integers(max_value=0),
@@ -201,6 +219,9 @@ _OUT_OF_RANGE = {
     "--eta": st.one_of(
         st.floats(max_value=0.0), st.floats(min_value=0.5, exclude_min=True), st.just(math.nan)
     ),
+    "--d": st.integers(max_value=1),
+    "--zeta": st.one_of(st.floats(max_value=0.0), st.floats(min_value=0.5), st.just(math.nan)),
+    "--epsilon": st.one_of(st.floats(max_value=0.0), st.just(math.nan)),
 }
 
 

@@ -96,16 +96,6 @@ def test_halfspace_degree_overflow():
         lift.halfspace_from_ptf(np.array([1.0, 0.0]), np.ones(5), basis, 10)
 
 
-def test_weights_export_schema():
-    basis = lift.enumerate_basis(2, 2)
-    weights = lift.halfspace_from_ptf(np.array([1.0, 0.0]), np.array([0.0, 1.0]), basis, 9)
-    payload = weights.to_dict()
-    assert list(payload.keys()) == ["M", "M_prime", "basis_order", "w"]
-    assert payload["M"] == 9 and payload["M_prime"] == 6
-    assert payload["basis_order"] == "grlex"
-    assert len(payload["w"]) == 9
-
-
 def test_linearity_bridge(rng):
     worst = 0.0
     for _ in range(1000):

@@ -20,13 +20,6 @@ def planted():
     return pair, instance, vectors[1:]
 
 
-def test_constant_query_honest(rng):
-    config = sqlab.OracleConfig(tau=0.05)
-    null = sqlab.NullDistribution(m=4, p=0.9)
-    answer = sqlab.SQOracle(null, config, rng).answer(sqlab.constant_query())
-    assert abs(answer - 1.0) <= 0.05
-
-
 def test_label_mean_query_honest(rng):
     config = sqlab.OracleConfig(tau=0.05)
     null = sqlab.NullDistribution(m=4, p=0.9)
@@ -48,9 +41,9 @@ def test_query_budget(rng):
     config = sqlab.OracleConfig(tau=0.2, query_budget=3)
     oracle = sqlab.SQOracle(sqlab.NullDistribution(2, 0.5), config, rng)
     for _ in range(3):
-        oracle.answer(sqlab.constant_query())
+        oracle.answer(sqlab.label_mean_query())
     with pytest.raises(QueryBudgetError):
-        oracle.answer(sqlab.constant_query())
+        oracle.answer(sqlab.label_mean_query())
 
 
 def test_batch_budget_refused_before_drawing(rng):
@@ -91,7 +84,6 @@ def test_single_query_is_a_batch_of_one(planted):
     dist = sqlab.InstanceDistribution(instance)
     config = sqlab.OracleConfig(tau=0.01)
     queries = [
-        sqlab.constant_query(),
         sqlab.label_mean_query(),
         sqlab.projected_moment_query(directions[0], 2),
         sqlab.projected_indicator_query(instance.v, pair.J1),
@@ -174,7 +166,7 @@ def test_batch_honesty_rate(rng):
     null = sqlab.NullDistribution(m=2, p=0.7)
     oracle = sqlab.SQOracle(null, config, rng)
     units = np.array([[math.cos(a), math.sin(a)] for a in np.linspace(0.0, 3.0, 9)])
-    queries = [sqlab.constant_query(), sqlab.label_mean_query()]
+    queries = [sqlab.label_mean_query(), sqlab.label_mean_query()]
     queries += [sqlab.projected_moment_query(u, 1, 2) for u in units]
     exact = [value for query in queries for value in null.true_expectation(query)]
     good = sum(
