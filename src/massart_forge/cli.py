@@ -23,6 +23,7 @@ from . import __version__, serialize
 from .errors import DirectionSetError, MassartForgeError, RangeError
 from .hardpair import build_hard_pair, density_curve
 from .instance import make_instance, opt_error, random_unit_vector, sample_labeled
+from .moments import K_MAX
 from .planner import Constants, desk_config, plan
 from .sqlab import DIRECTION_C, LEARNERS, N_PROBES, OracleConfig, distinguishing_experiment
 from .verification import SECTIONS, build_verification_report
@@ -50,8 +51,9 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
 # every bounded numeric flag, checked on each command that has it before any
 # work, so bad input exits 2 naming the flag and writes nothing; the coupled
 # constraints delta < 1 and epsilon < delta/8 stay with HardPairConfig
-_FLOORS = {"--m": 1, "--n": 1, "--seeds": 1, "--seed": 0, "--k": 1, "--grid": 2, "--d": 2}
+_FLOORS = {"--m": 1, "--n": 1, "--seeds": 1, "--seed": 0, "--grid": 2, "--d": 2}
 _INTERVALS = {
+    "--k": (f"[1, {K_MAX}]", lambda v: 1 <= v <= K_MAX),
     "--tau": ("(0, 1)", lambda v: 0.0 < v < 1.0),
     "--eta": ("(0, 1/2]", lambda v: 0.0 < v <= 0.5),
     "--zeta": ("(0, 1/2)", lambda v: 0.0 < v < 0.5),

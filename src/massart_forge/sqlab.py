@@ -122,7 +122,23 @@ def _covariance_root(sigma: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
 
 
-class NullDistribution:
+class _ProjectedRoot:
+    """One-entry memo of the projected covariance factor.  A batch samples
+    its chunks on one direction array, so the factor is built once per batch;
+    the key holds the array's bytes, so rows mutated in place miss it."""
+
+    _root_memo = (None, None)  # (key, factor), swapped as one object
+
+    def _root(self, directions: np.ndarray) -> np.ndarray:
+        key = (directions.shape, directions.tobytes())
+        memo_key, root = self._root_memo
+        if memo_key != key:
+            root = _covariance_root(self._sigma(directions))
+            self._root_memo = (key, root)
+        return root
+
+
+class NullDistribution(_ProjectedRoot):
     """Gaussian examples with labels independent of them."""
 
     def __init__(self, m: int, p: float):
@@ -138,14 +154,16 @@ class NullDistribution:
         k = len(directions)
         if k == 0:
             return np.empty((n, 0)), y
-        root = _covariance_root(directions @ directions.T)
-        return rng.standard_normal((n, k)) @ root.T, y
+        return rng.standard_normal((n, k)) @ self._root(directions).T, y
+
+    def _sigma(self, directions: np.ndarray) -> np.ndarray:
+        return directions @ directions.T
 
     def true_expectation(self, query: SQQuery) -> Sequence[float] | None:
         return query.exact(self) if query.exact is not None else None
 
 
-class InstanceDistribution:
+class InstanceDistribution(_ProjectedRoot):
     """The hidden-direction labeled distribution."""
 
     def __init__(self, instance: MassartInstance):
@@ -175,12 +193,13 @@ class InstanceDistribution:
         k = len(directions)
         if k == 0:
             return np.empty((n, 0)), y
-        uv = directions @ instance.v
-        sigma = directions @ directions.T - np.outer(uv, uv)
-        root = _covariance_root(sigma)
-        out = rng.standard_normal((n, k)) @ root.T
-        out += np.multiply.outer(t, uv)  # one (n, k) buffer for the result
+        out = rng.standard_normal((n, k)) @ self._root(directions).T
+        out += np.multiply.outer(t, directions @ instance.v)  # one (n, k) buffer
         return out, y
+
+    def _sigma(self, directions: np.ndarray) -> np.ndarray:
+        uv = directions @ self.instance.v
+        return directions @ directions.T - np.outer(uv, uv)
 
     def true_expectation(self, query: SQQuery) -> Sequence[float] | None:
         return query.exact(self) if query.exact is not None else None

@@ -177,6 +177,7 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
         (["gen", "--zeta", "0.05", "--d", "10", "--epsilon", "0.05", "--eta", "0.3",
           "--m", "4", "--n", "10", "--seed", "-1"], "--seed"),
         (["experiment", "--m", "8"], "--m"),  # too few dimensions for 21 directions
+        (["verify", "--k", str(moments.K_MAX + 1)], "--k"),
     ],
 )
 def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):
@@ -213,7 +214,7 @@ _OUT_OF_RANGE = {
     "--n": st.integers(max_value=0),
     "--seeds": st.integers(max_value=0),
     "--seed": st.integers(max_value=-1),
-    "--k": st.integers(max_value=0),
+    "--k": st.one_of(st.integers(max_value=0), st.integers(min_value=moments.K_MAX + 1)),
     "--grid": st.integers(max_value=1),
     "--tau": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)),
     "--eta": st.one_of(

@@ -6,7 +6,25 @@ from scipy.integrate import quad
 
 from massart_forge import moments
 from massart_forge.errors import MomentRangeError
-from massart_forge.hardpair import PiecewiseGaussianMeasure, gaussian_pdf, sample
+from massart_forge.hardpair import (
+    HardPairConfig,
+    PiecewiseGaussianMeasure,
+    build_hard_pair,
+    gaussian_pdf,
+    sample,
+)
+
+# the desk pair, epsilon just under delta/8 (the widest pieces), and d = 40
+_DELTA_10 = 4.0 * math.sqrt(math.log(20.0)) / 10
+_QUADRATURE_CONFIGS = [
+    dict(zeta=0.05, d=10, epsilon=0.05),
+    dict(zeta=0.05, d=10, epsilon=0.99 * _DELTA_10 / 8.0),
+    dict(zeta=0.05, d=40, epsilon=0.01),
+]
+_FULL_LINE = PiecewiseGaussianMeasure(
+    a=np.array([-40.0]), b=np.array([40.0]), scale=np.array([1.0]),
+    shift=np.array([0.0]), z=1.0, tail_start=40.0,
+)
 
 
 def test_gaussian_moments():
@@ -55,6 +73,57 @@ def test_recurrence_vs_quadrature(desk_pair):
             rec = moments.measure_moment(measure, t)
             quad_val = moments.quadrature_moment(measure, t)
             assert abs(rec - quad_val) <= 1e-10 * max(1.0, abs(rec), abs(quad_val))
+
+
+def _quadpack_moment(measure, t):
+    """(E X^t, sum of |per-piece integrals|) by QUADPACK per piece.  The second
+    is the scale of the integral: odd moments of a symmetric comb cancel to a
+    residue, so their errors are relative to the magnitudes that cancel."""
+    vals = []
+    for i in range(len(measure.a)):
+        s, h = measure.scale[i], measure.shift[i]
+        f = lambda x: x**t * s * float(gaussian_pdf(x + h)) / measure.z
+        vals.append(quad(f, measure.a[i], measure.b[i], epsabs=1e-13, epsrel=1e-13, limit=200)[0])
+    return math.fsum(vals), math.fsum(abs(v) for v in vals)
+
+
+def _quadpack_chi_square(measure):
+    """chi^2 against N(0, 1) by QUADPACK on density^2 / G per piece."""
+    vals = []
+    for i in range(len(measure.a)):
+        s, h = measure.scale[i], measure.shift[i]
+
+        def f(x, s=s, h=h):
+            g = float(gaussian_pdf(x))
+            if g == 0.0:  # both densities underflow together far in the tail
+                return 0.0
+            return (s * float(gaussian_pdf(x + h)) / measure.z) ** 2 / g
+
+        vals.append(quad(f, measure.a[i], measure.b[i], epsabs=1e-13, epsrel=1e-13, limit=200)[0])
+    return math.fsum(vals) - 1.0
+
+
+@pytest.mark.parametrize("config", _QUADRATURE_CONFIGS, ids=["desk", "wide", "d40"])
+def test_gauss_legendre_moments_match_quadpack(config):
+    # every order up to K_MAX, on A and B, against QUADPACK and the recurrence
+    pair = build_hard_pair(HardPairConfig(**config))
+    for t in range(moments.K_MAX + 1):
+        for measure in (pair.A, pair.B):
+            got = moments.quadrature_moment(measure, t)
+            want, scale = _quadpack_moment(measure, t)
+            assert abs(got - want) <= 1e-12 * max(1.0, scale), (t, got, want)
+            rec = moments.measure_moment(measure, t)
+            assert abs(got - rec) <= 1e-12 * max(1.0, scale), (t, got, rec)
+
+
+@pytest.mark.parametrize("config", _QUADRATURE_CONFIGS, ids=["desk", "wide", "d40"])
+def test_gauss_legendre_chi_square_matches_quadpack(config):
+    pair = build_hard_pair(HardPairConfig(**config))
+    for measure in (pair.A, pair.B, _FULL_LINE):
+        got = moments.chi_square_vs_gaussian(measure).quadrature
+        want = _quadpack_chi_square(measure)
+        # the integral chi^2 + 1 has a positive integrand, so it is the scale
+        assert abs(got - want) <= 1e-12 * max(1.0, want + 1.0), (got, want)
 
 
 def test_moment_range_guard(desk_pair):
@@ -125,10 +194,6 @@ def test_chi_square(desk_pair, desk_config):
 
 def test_chi_square_full_coverage_limit():
     # coverage of the whole line with unit scale degenerates to the Gaussian
-    full = PiecewiseGaussianMeasure(
-        a=np.array([-40.0]), b=np.array([40.0]), scale=np.array([1.0]),
-        shift=np.array([0.0]), z=1.0, tail_start=40.0,
-    )
-    result = moments.chi_square_vs_gaussian(full)
+    result = moments.chi_square_vs_gaussian(_FULL_LINE)
     assert abs(result.closed_form) < 1e-12
     assert abs(result.quadrature) < 1e-8

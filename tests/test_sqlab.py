@@ -514,6 +514,31 @@ def test_chow_batch_is_bitwise_per_column(planted):
         assert got == (totals / n).tolist()
 
 
+@pytest.mark.parametrize("law", ["planted", "null"])
+def test_covariance_factor_built_once_per_batch(planted, monkeypatch, law):
+    # Chow's batch samples many chunks on one identity block: one factor
+    # serves them all, and rows changed in place get a factor of their own
+    _, instance, _ = planted
+    if law == "planted":
+        dist = sqlab.InstanceDistribution(instance)
+    else:
+        dist = sqlab.NullDistribution(instance.m, instance.p)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    config = sqlab.OracleConfig(tau=0.02)
+    oracle = sqlab.SQOracle(dist, config, np.random.default_rng(3))
+    query = sqlab.chow_moment_query(instance.m)
+    assert config.samples_per_batch(231) > 2 * ((1 << 19) // 231)  # several chunks
+    oracle.answer_batch([query])
+    assert calls == [(instance.m, instance.m)]
+    directions = query.directions.copy()
+    dist.sample_projected(np.random.default_rng(4), 10, directions)
+    assert len(calls) == 1
+    directions[0, 1] = 0.5
+    dist.sample_projected(np.random.default_rng(4), 10, directions)
+    assert len(calls) == 2
+
+
 def test_learner_chow_realizable(rng):
     # The oracle's contract, not the learner's resolution: each coefficient
     # of y = sign(x_1) is within tau of E[y * clipped monomial] / R^|alpha|,
