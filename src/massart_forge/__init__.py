@@ -35,7 +35,6 @@ from .planner import (
     AsymptoticPlan,
     Constants,
     TsybakovParams,
-    desk_config,
     log_binomial,
     plan,
     tsybakov_to_massart,

@@ -15,16 +15,17 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, serialize
 from .errors import DirectionSetError, MassartForgeError, RangeError
-from .hardpair import build_hard_pair, density_curve
+from .hardpair import HardPairConfig, build_hard_pair, density_curve
 from .instance import make_instance, opt_error, random_unit_vector, sample_labeled
 from .moments import K_MAX
-from .planner import Constants, desk_config, plan
+from .planner import Constants, plan
 from .sqlab import DIRECTION_C, LEARNERS, N_PROBES, OracleConfig, distinguishing_experiment
 from .verification import SECTIONS, build_verification_report
 
@@ -99,6 +100,16 @@ def _manifest_path(args, default_stem: str) -> Path:
     if out:
         return Path(str(out) + ".manifest.json")
     return Path(f"{default_stem}.manifest.json")
+
+
+def _emit(text: str, path: Path | None) -> list[Path]:
+    """Write text to path, or to stdout without one; the outputs written."""
+    if path is None:
+        sys.stdout.write(text)
+        return []
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return [path]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,14 +198,7 @@ def _cmd_plan(args) -> int:
         C_tau=args.C_tau, C_m=args.C_m, C_d=args.C_d, C_zeta=args.C_zeta
     )
     result = plan(args.log_M, args.eta, zeta, constants)
-    text = serialize.dumps(result.to_dict())
-    outputs = []
-    if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text, encoding="utf-8")
-        outputs.append(args.out)
-    else:
-        sys.stdout.write(text)
+    outputs = _emit(serialize.dumps(result.to_dict()), args.out)
     _write_manifest(
         _manifest_path(args, "plan"),
         "plan",
@@ -202,12 +206,7 @@ def _cmd_plan(args) -> int:
             "log_M": args.log_M,
             "zeta": zeta,
             "eta": args.eta,
-            "constants": {
-                "C_tau": constants.C_tau,
-                "C_m": constants.C_m,
-                "C_d": constants.C_d,
-                "C_zeta": constants.C_zeta,
-            },
+            "constants": asdict(constants),
         },
         None,
         outputs,
@@ -217,7 +216,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    config = desk_config(args.zeta, args.d, args.epsilon)
+    config = HardPairConfig(zeta=args.zeta, d=args.d, epsilon=args.epsilon)
     pair = build_hard_pair(config)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     v = random_unit_vector(args.m, rng)
@@ -277,14 +276,7 @@ def _cmd_verify(args) -> int:
         zeta=args.zeta, d=args.d, epsilon=args.epsilon, eta=args.eta,
         m=args.m, k=args.k, seed=args.seed,
     )
-    text = serialize.dumps(report)
-    outputs = []
-    if args.report:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(text, encoding="utf-8")
-        outputs.append(args.report)
-    else:
-        sys.stdout.write(text)
+    outputs = _emit(serialize.dumps(report), args.report)
     for name in SECTIONS:
         status = "pass" if report[name]["pass"] else "FAIL"
         print(f"verify {name}: {status}", file=sys.stderr)
@@ -313,7 +305,15 @@ def _cmd_experiment(args) -> int:
         raise RangeError(
             f"--learners names unknown learner {unknown[0]!r}; known: {', '.join(LEARNERS)}"
         )
-    config = desk_config(args.zeta, args.d, args.epsilon)
+    n = N_PROBES + 1  # the hidden direction and the probes
+    # Welch: some pair of n > m unit vectors in R^m overlaps by at least this
+    welch = math.sqrt((n - args.m) / (args.m * (n - 1))) if n > args.m else 0.0
+    if welch > DIRECTION_C:
+        raise RangeError(
+            f"--m = {args.m} is too small: the Welch bound puts the largest pairwise "
+            f"|<u, v>| of {n} directions at >= {welch:.3g} > c = {DIRECTION_C}"
+        )
+    config = HardPairConfig(zeta=args.zeta, d=args.d, epsilon=args.epsilon)
     oracle_config = OracleConfig(tau=args.tau, mode=args.oracle_mode)
     seeds = list(range(args.seed, args.seed + args.seeds))
 
@@ -330,9 +330,9 @@ def _cmd_experiment(args) -> int:
         else:
             reports = [run_one(s) for s in seeds]
     except DirectionSetError as exc:
-        raise RangeError(
-            f"--m = {args.m} is too small: found no {N_PROBES + 1} directions (the hidden "
-            f"one and {N_PROBES} probes) at pairwise |<u, v>| <= c = {DIRECTION_C}; {exc}"
+        raise DirectionSetError(
+            f"at --m = {args.m} the search found no {n} directions at pairwise |<u, v>| <= "
+            f"c = {DIRECTION_C}, though the Welch bound {welch:.3g} allows them; {exc}"
         ) from exc
 
     first = reports[0]
@@ -355,14 +355,7 @@ def _cmd_experiment(args) -> int:
         "n_bound_caveat": first.N_BOUND_CAVEAT,
         "per_seed": [r.to_dict() for r in reports],
     }
-    text = serialize.dumps(aggregate)
-    outputs = []
-    if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text, encoding="utf-8")
-        outputs.append(args.out)
-    else:
-        sys.stdout.write(text)
+    outputs = _emit(serialize.dumps(aggregate), args.out)
     _write_manifest(
         _manifest_path(args, "experiment"),
         "experiment",
@@ -385,7 +378,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_emit_density(args) -> int:
-    config = desk_config(args.zeta, args.d, args.epsilon)
+    config = HardPairConfig(zeta=args.zeta, d=args.d, epsilon=args.epsilon)
     pair = build_hard_pair(config)
     lo = args.lo if args.lo is not None else -args.d * config.delta - 1.0
     hi = args.hi if args.hi is not None else args.d * config.delta + 1.0

@@ -8,7 +8,8 @@ doubles (~31 significant digits).  It is fixed-precision compensated
 arithmetic, not arbitrary precision.
 
 Only what the measurement needs is implemented: +, -, *, /, exp, sqrt,
-Gauss-Legendre nodes, and the comb-moment integrals themselves.
+Gauss-Legendre nodes, the comb-moment integrals themselves, and the
+Gaussian moments they are measured against.
 
 The arithmetic helpers and dd_exp are elementwise: a hi or lo part may be a
 float or a float64 array, and an array entry gets the bits its scalar
@@ -24,6 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import MomentRangeError
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker split constant
 
@@ -288,10 +291,18 @@ def comb_moment_discrepancies(
         if t % 2 == 1:
             out.append(0.0)
             continue
-        g = float(_double_factorial(t - 1)) if t > 0 else 1.0
-        diff = dd_sub(combs[t], (g, 0.0))
+        diff = dd_sub(combs[t], (gaussian_moment(t), 0.0))
         out.append(abs(diff[0] + diff[1]))
     return out
+
+
+def gaussian_moment(t: int) -> float:
+    """E G^t for standard normal G: 0 for odd t, (t-1)!! for even t."""
+    if t < 0:
+        raise MomentRangeError(f"t = {t} must be nonnegative")
+    if t % 2 == 1:
+        return 0.0
+    return float(_double_factorial(t - 1)) if t > 0 else 1.0
 
 
 def _double_factorial(n: int) -> int:

@@ -25,6 +25,7 @@ from .errors import (
 
 __all__ = [
     "phi_mass",
+    "comb_delta",
     "HardPairConfig",
     "IntervalUnion",
     "PiecewiseGaussianMeasure",
@@ -54,6 +55,21 @@ def phi_mass(a, b):
     lo = np.where(right, -b, a)
     hi = np.where(right, -a, b)
     return ndtr(hi) - ndtr(lo)
+
+
+def comb_delta(zeta: float, d: int) -> float:
+    """The comb period delta = 4 sqrt(log(1/zeta))/d."""
+    return 4.0 * math.sqrt(math.log(1.0 / zeta)) / d
+
+
+def _piece_index(starts: np.ndarray, ends: np.ndarray, x) -> np.ndarray:
+    """Index of the sorted closed piece [starts_i, ends_i] holding each x, or -1."""
+    x = np.asarray(x, dtype=float)
+    idx = np.searchsorted(starts, x, side="right") - 1
+    ok = idx >= 0
+    safe = np.clip(idx, 0, len(starts) - 1)
+    ok &= x <= ends[safe]
+    return np.where(ok, safe, -1)
 
 
 @dataclass(frozen=True)
@@ -102,7 +118,7 @@ class HardPairConfig:
 
     @property
     def delta(self) -> float:
-        return 4.0 * math.sqrt(math.log(1.0 / self.zeta)) / self.d
+        return comb_delta(self.zeta, self.d)
 
 
 @dataclass(frozen=True)
@@ -123,13 +139,8 @@ class IntervalUnion:
 
     def contains(self, x):
         """Closed-interval membership; vectorised."""
-        x = np.asarray(x, dtype=float)
-        starts = np.array([a for a, _ in self.intervals])
-        ends = np.array([b for _, b in self.intervals])
-        idx = np.searchsorted(starts, x, side="right") - 1
-        ok = idx >= 0
-        idx = np.clip(idx, 0, len(starts) - 1)
-        return ok & (x <= ends[idx])
+        endpoints = self.endpoints
+        return _piece_index(endpoints[0::2], endpoints[1::2], x) >= 0
 
     @property
     def endpoints(self) -> np.ndarray:
@@ -166,12 +177,7 @@ class PiecewiseGaussianMeasure:
 
     def piece_index(self, x):
         """Index of the piece containing each x, or -1."""
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.a, x, side="right") - 1
-        ok = idx >= 0
-        safe = np.clip(idx, 0, len(self.a) - 1)
-        ok &= x <= self.b[safe]
-        return np.where(ok, safe, -1)
+        return _piece_index(self.a, self.b, x)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -192,6 +198,11 @@ class HardPair:
     def in_support_gap(self, t):
         """True where the mixture marginal density vanishes."""
         return (self.A.piece_index(t) < 0) & (self.B.piece_index(t) < 0)
+
+    def off_j_mass(self) -> tuple[float, float]:
+        """Mass of A and of B outside J1 u J2."""
+        joint = IntervalUnion(tuple(sorted(self.J1.intervals + self.J2.intervals)))
+        return 1.0 - mass_in(self.A, joint), 1.0 - mass_in(self.B, joint)
 
 
 def build_hard_pair(config: HardPairConfig) -> HardPair:

@@ -17,13 +17,14 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import DensityGapError, RangeError
-from .hardpair import HardPair, IntervalUnion, mass_in, sample
+from .hardpair import HardPair, IntervalUnion, sample
 
 __all__ = [
     "MassartInstance",
     "make_instance",
     "build_interval_polynomial",
     "evaluate_from_roots",
+    "draw_labels",
     "sample_labeled",
     "sample_null",
     "flip_probability",
@@ -78,14 +79,8 @@ class MassartInstance:
 
     def off_support_mass(self) -> float:
         """Marginal mass of the mixture with projection outside J1 u J2."""
-        joint = _merge_unions(self.pair.J1, self.pair.J2)
-        in_a = mass_in(self.pair.A, joint)
-        in_b = mass_in(self.pair.B, joint)
-        return self.p * (1.0 - in_a) + (1.0 - self.p) * (1.0 - in_b)
-
-
-def _merge_unions(u1: IntervalUnion, u2: IntervalUnion) -> IntervalUnion:
-    return IntervalUnion(tuple(sorted(u1.intervals + u2.intervals)))
+        off_a, off_b = self.pair.off_j_mass()
+        return self.p * off_a + (1.0 - self.p) * off_b
 
 
 def make_instance(pair: HardPair, v: np.ndarray, eta: float) -> MassartInstance:
@@ -129,6 +124,13 @@ def embed_samples(v: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
+def draw_labels(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """n >= 1 labels, +1 with probability p and -1 otherwise."""
+    if n < 1:
+        raise RangeError(f"n = {n} must be at least 1")
+    return np.where(rng.random(n) < p, 1, -1)
+
+
 def sample_labeled(
     instance: MassartInstance, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -138,9 +140,7 @@ def sample_labeled(
     B-projections for the -1 block, then one Gaussian block for the
     orthogonal complement: a fixed consumption order for reproducibility.
     """
-    if n < 1:
-        raise RangeError(f"n = {n} must be at least 1")
-    y = np.where(rng.random(n) < instance.p, 1, -1)
+    y = draw_labels(rng, n, instance.p)
     t = np.empty(n)
     pos = y == 1
     n_pos = int(pos.sum())
@@ -156,9 +156,7 @@ def sample_null(
     m: int, p: float, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The indistinguishable baseline: Gaussian x, label independent of x."""
-    if n < 1:
-        raise RangeError(f"n = {n} must be at least 1")
-    y = np.where(rng.random(n) < p, 1, -1)
+    y = draw_labels(rng, n, p)
     x = rng.standard_normal((n, m))
     return x, y
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddcore import _double_factorial, comb_gaussian_moments, comb_moment_discrepancies
+from .ddcore import comb_gaussian_moments, comb_moment_discrepancies, gaussian_moment
 from .errors import MassartForgeError, MomentRangeError
 from .hardpair import (
     HardPair,
     PiecewiseGaussianMeasure,
+    comb_delta,
     phi_mass,
     gaussian_pdf,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "gaussian_moment",
     "measure_moment",
     "quadrature_moment",
+    "absolute_moment",
     "MomentReport",
     "moment_discrepancy_report",
     "FourierBoundCertificate",
@@ -44,15 +46,6 @@ __all__ = [
 
 K_MAX = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def gaussian_moment(t: int) -> float:
-    """E G^t for standard normal G: 0 for odd t, (t-1)!! for even t."""
-    if t < 0:
-        raise MomentRangeError(f"t = {t} must be nonnegative")
-    if t % 2 == 1:
-        return 0.0
-    return float(_double_factorial(t - 1)) if t > 0 else 1.0
 
 
 def _piece_moment_table(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
@@ -118,12 +111,22 @@ def _composite_gauss_legendre(integrand, a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(np.bincount(piece, weights=per_panel, minlength=len(a)).tolist())
 
 
-def quadrature_moment(measure: PiecewiseGaussianMeasure, t: int) -> float:
-    """Independent oracle: composite Gauss-Legendre of x^t against the density."""
+def _density_quadrature(measure: PiecewiseGaussianMeasure, f) -> float:
+    """Composite Gauss-Legendre of f(x) against the normalised density."""
     s, h = measure.scale, measure.shift
     return _composite_gauss_legendre(
-        lambda x, i: x**t * s[i] * gaussian_pdf(x + h[i]) / measure.z, measure.a, measure.b
+        lambda x, i: f(x) * s[i] * gaussian_pdf(x + h[i]) / measure.z, measure.a, measure.b
     )
+
+
+def quadrature_moment(measure: PiecewiseGaussianMeasure, t: int) -> float:
+    """Independent oracle: composite Gauss-Legendre of x^t against the density."""
+    return _density_quadrature(measure, lambda x: x**t)
+
+
+def absolute_moment(measure: PiecewiseGaussianMeasure, t: int) -> float:
+    """E|X|^t by the same quadrature: the scale both moment routes round on."""
+    return _density_quadrature(measure, lambda x: np.abs(x) ** t)
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,7 @@ def scaling_law_points(zeta: float, d_values: list[int], t: int) -> list[tuple[f
     """
     pts = []
     for d in d_values:
-        delta = 4.0 * math.sqrt(math.log(1.0 / zeta)) / d
+        delta = comb_delta(zeta, d)
         eps = 0.1 * delta
         disc = comb_moment_discrepancies(delta, eps, t, normalized=True)[t]
         pts.append((1.0 / delta**2, disc))

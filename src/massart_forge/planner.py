@@ -1,19 +1,19 @@
-"""Log-space parameter schedule, desk configurations, and the
-Tsybakov <-> Massart noise-level translation.
+"""Log-space parameter schedule and the Tsybakov <-> Massart noise-level
+translation.
 
 The asymptotic schedule exists for feasibility analysis and documentation;
 all of its arithmetic stays in natural logs so a target dimension scale of
 e^(1e6) causes no overflow.  Numerical work runs on desk configurations,
-which specify (zeta, d, epsilon) directly.
+HardPairConfig values that specify (zeta, d, epsilon) directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InfeasiblePlanError, RangeError
-from .hardpair import HardPairConfig
+from .hardpair import comb_delta
 
 __all__ = [
     "Constants",
@@ -21,7 +21,6 @@ __all__ = [
     "TsybakovParams",
     "plan",
     "log_binomial",
-    "desk_config",
     "tsybakov_to_massart",
     "verify_tsybakov",
 ]
@@ -78,12 +77,7 @@ class AsymptoticPlan:
             "log_epsilon": self.log_epsilon,
             "c": self.c,
             "M_prime_log": self.M_prime_log,
-            "constants": {
-                "C_tau": self.constants.C_tau,
-                "C_m": self.constants.C_m,
-                "C_d": self.constants.C_d,
-                "C_zeta": self.constants.C_zeta,
-            },
+            "constants": asdict(self.constants),
             "note": (
                 "log_tau is computed under the chosen C_tau; the schedule's "
                 "rate constant is a free parameter of the construction."
@@ -135,7 +129,7 @@ def plan(M_log: float, eta: float, zeta: float, constants: Constants = Constants
     if d < 2:
         raise InfeasiblePlanError("d >= 2", f"schedule produced d = {d}")
 
-    delta = 4.0 * math.sqrt(log1z) / d
+    delta = comb_delta(zeta, d)
     if not (delta < 1.0):
         raise InfeasiblePlanError("delta < 1", f"delta = {delta:.6g}")
 
@@ -165,11 +159,6 @@ def plan(M_log: float, eta: float, zeta: float, constants: Constants = Constants
         delta=delta, log_epsilon=log_epsilon, c=c, M_prime_log=M_prime_log,
         constants=constants,
     )
-
-
-def desk_config(zeta: float, d: int, epsilon: float) -> HardPairConfig:
-    """A directly specified feasible configuration for exact numerics."""
-    return HardPairConfig(zeta=zeta, d=d, epsilon=epsilon)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ from .hardpair import HardPair, IntervalUnion, build_hard_pair, mass_in, phi_mas
 from .hardpair import sample as hp_sample
 from .instance import (
     MassartInstance,
+    draw_labels,
     make_instance,
+    random_unit_vector,
     sample_labeled,
     sample_null,
 )
@@ -63,6 +65,7 @@ _NO_DIRECTIONS = np.empty((0, 0))  # rows of a query that ignores x
 # drawn with the hidden direction at pairwise |<u, v>| <= DIRECTION_C
 N_PROBES = 20
 DIRECTION_C = 0.3
+DIRECTION_RESTARTS = 3  # fresh searches after a stalled one, same generator
 MOMENT_ORDERS = (1, 2)
 
 
@@ -116,30 +119,13 @@ class OracleConfig:
         return math.ceil((C + 2.0 * math.log(q)) / self.tau**2)
 
 
-def _covariance_root(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric factor L with L L^T = sigma; exact zeros stay zero."""
-    vals, vecs = np.linalg.eigh(sigma)
-    return vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
+class NullDistribution:
+    """Gaussian examples with labels independent of them.  The planted
+    subclass shares this law on the complement of its hidden direction v
+    and adds only the draw of <v, x>; ``v is None`` marks the null."""
 
-
-class _ProjectedRoot:
-    """One-entry memo of the projected covariance factor.  A batch samples
-    its chunks on one direction array, so the factor is built once per batch;
-    the key holds the array's bytes, so rows mutated in place miss it."""
-
+    v = None
     _root_memo = (None, None)  # (key, factor), swapped as one object
-
-    def _root(self, directions: np.ndarray) -> np.ndarray:
-        key = (directions.shape, directions.tobytes())
-        memo_key, root = self._root_memo
-        if memo_key != key:
-            root = _covariance_root(self._sigma(directions))
-            self._root_memo = (key, root)
-        return root
-
-
-class NullDistribution(_ProjectedRoot):
-    """Gaussian examples with labels independent of them."""
 
     def __init__(self, m: int, p: float):
         self.m = m
@@ -149,60 +135,62 @@ class NullDistribution(_ProjectedRoot):
         return sample_null(self.m, self.p, rng, n)
 
     def sample_projected(self, rng: np.random.Generator, n: int, directions: np.ndarray):
-        """(T, y) with T_ij = <directions_j, x_i>; same law as projecting."""
-        y = np.where(rng.random(n) < self.p, 1, -1)
-        k = len(directions)
-        if k == 0:
-            return np.empty((n, 0)), y
-        return rng.standard_normal((n, k)) @ self._root(directions).T, y
-
-    def _sigma(self, directions: np.ndarray) -> np.ndarray:
-        return directions @ directions.T
-
-    def true_expectation(self, query: SQQuery) -> Sequence[float] | None:
-        return query.exact(self) if query.exact is not None else None
-
-
-class InstanceDistribution(_ProjectedRoot):
-    """The hidden-direction labeled distribution."""
-
-    def __init__(self, instance: MassartInstance):
-        self.instance = instance
-        self.m = instance.m
-        self.p = instance.p
-
-    def sample_xy(self, rng: np.random.Generator, n: int):
-        return sample_labeled(self.instance, rng, n)
-
-    def sample_projected(self, rng: np.random.Generator, n: int, directions: np.ndarray):
-        """Joint law of (<u_j, x>)_j and y without materialising x.
-
-        <u, x> = t <u, v> + (Gaussian on the complement of v projected on u);
-        the second part across the requested directions is a centred
-        Gaussian vector with covariance U U^T - (U v)(U v)^T.
-        """
-        instance = self.instance
-        y = np.where(rng.random(n) < instance.p, 1, -1)
-        t = np.empty(n)
-        pos = y == 1
-        n_pos = int(pos.sum())
-        if n_pos:
-            t[pos] = hp_sample(instance.pair.A, rng, n_pos)
-        if n - n_pos:
-            t[~pos] = hp_sample(instance.pair.B, rng, n - n_pos)
+        """Joint law of (<u_j, x>)_j and y without materialising x: labels,
+        then the hidden projection t, then one (n, k) normal block for the
+        Gaussian part, whose covariance is U U^T - (U v)(U v)^T (U U^T for
+        the null); <u, x> = t <u, v> + that part."""
+        y = draw_labels(rng, n, self.p)
+        t = None if self.v is None else self._hidden(rng, y)
         k = len(directions)
         if k == 0:
             return np.empty((n, 0)), y
         out = rng.standard_normal((n, k)) @ self._root(directions).T
-        out += np.multiply.outer(t, directions @ instance.v)  # one (n, k) buffer
+        if t is not None:
+            out += np.multiply.outer(t, directions @ self.v)  # one (n, k) buffer
         return out, y
 
-    def _sigma(self, directions: np.ndarray) -> np.ndarray:
-        uv = directions @ self.instance.v
-        return directions @ directions.T - np.outer(uv, uv)
+    def _root(self, directions: np.ndarray) -> np.ndarray:
+        """Symmetric factor L with L L^T = the covariance (exact zeros stay
+        zero), memoised for one direction array, which a batch's chunks
+        share; the key holds the array's bytes."""
+        key = (directions.shape, directions.tobytes())
+        memo_key, root = self._root_memo
+        if memo_key != key:
+            sigma = directions @ directions.T
+            if self.v is not None:
+                uv = directions @ self.v
+                sigma -= np.outer(uv, uv)
+            vals, vecs = np.linalg.eigh(sigma)
+            root = vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
+            self._root_memo = (key, root)
+        return root
 
     def true_expectation(self, query: SQQuery) -> Sequence[float] | None:
         return query.exact(self) if query.exact is not None else None
+
+
+class InstanceDistribution(NullDistribution):
+    """The hidden-direction labeled distribution."""
+
+    def __init__(self, instance: MassartInstance):
+        super().__init__(instance.m, instance.p)
+        self.instance = instance
+        self.v = instance.v
+
+    def sample_xy(self, rng: np.random.Generator, n: int):
+        return sample_labeled(self.instance, rng, n)
+
+    def _hidden(self, rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
+        """t ~ A where y = +1, then t ~ B where y = -1."""
+        pair = self.instance.pair
+        t = np.empty(len(y))
+        pos = y == 1
+        n_pos = int(pos.sum())
+        if n_pos:
+            t[pos] = hp_sample(pair.A, rng, n_pos)
+        if len(y) - n_pos:
+            t[~pos] = hp_sample(pair.B, rng, len(y) - n_pos)
+        return t
 
 
 def _round_toward(value: float, target: float, tau: float) -> float:
@@ -316,7 +304,7 @@ def label_mean_query() -> SQQuery:
 
 def _signed_projection_moment(dist, u: np.ndarray, j: int) -> float:
     """E[y * <u, x>^j] in closed form via one-dimensional moments."""
-    if isinstance(dist, NullDistribution):
+    if dist.v is None:
         return (2.0 * dist.p - 1.0) * moments.gaussian_moment(j)
     instance = dist.instance
     gamma = float(u @ instance.v)
@@ -357,7 +345,7 @@ def projected_indicator_query(u: np.ndarray, region: IntervalUnion) -> SQQuery:
     u = np.asarray(u, dtype=float)
 
     def exact(dist) -> tuple[float] | None:
-        if isinstance(dist, NullDistribution):
+        if dist.v is None:
             return (float(math.fsum(float(phi_mass(a, b)) for a, b in region.intervals)),)
         instance = dist.instance
         gamma = float(u @ instance.v)
@@ -427,6 +415,9 @@ def near_orthogonal_set(
     2e^{-c^2 m/4} + 2e^{-m/32}: ten attempts per requested vector, inflated
     by the bound's per-candidate rejection estimate (capped, since the
     union bound turns vacuous long before sampling actually struggles).
+    A search that spends it (a greedy set can stall on its last vectors)
+    restarts from scratch on the same generator, up to DIRECTION_RESTARTS
+    times; a set found on the first pass never sees a restart.
     """
     if not (0.0 < c <= 1.0):
         raise RangeError(f"c = {c} outside (0, 1]")
@@ -436,21 +427,20 @@ def near_orthogonal_set(
     reject = min(0.9, (target_size - 1) * p_bound)
     max_tries = math.ceil(10.0 * target_size / (1.0 - reject))
     out = np.empty((target_size, m))
-    count = 0
-    tries = 0
-    while count < target_size:
-        if tries >= max_tries:
-            raise DirectionSetError(
-                f"gave up after {tries} tries with {count}/{target_size} vectors; "
-                f"per-pair failure bound 2e^(-c^2 m/4) + 2e^(-m/32) = {p_bound:.3g}"
-            )
-        tries += 1
-        g = rng.standard_normal(m)
-        g /= np.linalg.norm(g)
-        if count == 0 or np.max(np.abs(out[:count] @ g)) <= c:
-            out[count] = g
-            count += 1
-    return out
+    for _ in range(DIRECTION_RESTARTS + 1):
+        count = 0
+        for _ in range(max_tries):
+            g = random_unit_vector(m, rng)
+            if count == 0 or np.max(np.abs(out[:count] @ g)) <= c:
+                out[count] = g
+                count += 1
+                if count == target_size:
+                    return out
+    raise DirectionSetError(
+        f"gave up after {DIRECTION_RESTARTS} restarts of {max_tries} tries each, the last "
+        f"with {count}/{target_size} vectors; per-pair failure bound "
+        f"2e^(-c^2 m/4) + 2e^(-m/32) = {p_bound:.3g}"
+    )
 
 
 # ----------------------------------------------------------- learners
@@ -600,9 +590,9 @@ def distinguishing_experiment(
         if name not in LEARNERS:
             raise RangeError(f"unknown learner {name!r}")
     root = np.random.SeedSequence(seed)
-    rng_dirs, rng_battery, rng_learn, rng_holdout = (
-        np.random.default_rng(s) for s in root.spawn(4)
-    )
+    # the third child is unused, but spawning it keeps every learner's
+    # root.spawn(1) stream where it is
+    rng_dirs, rng_battery, _, rng_holdout = (np.random.default_rng(s) for s in root.spawn(4))
 
     vectors = near_orthogonal_set(m, DIRECTION_C, n_directions + 1, rng_dirs)
     v, directions = vectors[0], vectors[1:]

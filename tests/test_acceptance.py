@@ -164,7 +164,7 @@ def test_criterion_05_massart_exactness():
 
 def test_criterion_06_lift_consistency():
     rng = np.random.default_rng(np.random.SeedSequence(606))
-    pair = build_hard_pair(planner.desk_config(zeta=0.45, d=4, epsilon=0.1))
+    pair = build_hard_pair(HardPairConfig(zeta=0.45, d=4, epsilon=0.1))
     v = random_unit_vector(3, rng)
     instance = make_instance(pair, v, 0.3)
     degree = len(instance.J2_polynomial) - 1
@@ -216,7 +216,7 @@ def test_criterion_07_tsybakov_corollary():
 def test_criterion_08_distinguishing_experiment():
     started = time.monotonic()
     tau, eta, m = 0.01, 0.3, 20
-    config = planner.desk_config(**DESK)
+    config = HardPairConfig(**DESK)
 
     # independent 1e7-draw Monte Carlo estimate of the planted-query gap,
     # produced before consulting any oracle answers

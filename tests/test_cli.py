@@ -86,6 +86,33 @@ def test_verify_pass_and_refusal(tmp_path):
     assert code == 2
 
 
+def test_verify_top_moment_order_passes(tmp_path):
+    # odd moments of the symmetric A are rounding residues on the scale of
+    # E|X|^t; the cross-check resolves them at every order --k accepts
+    report_path = tmp_path / "report.json"
+    code = run(["verify", "--k", moments.K_MAX, "--report", report_path,
+                "--manifest", tmp_path / "m.json"])
+    assert code == 0
+    section = json.loads(report_path.read_text())["moments"]
+    assert section["pass"] is True
+    assert section["recurrence_vs_quadrature_worst_rel"] <= 1e-10
+    assert len(section["moments_A"]) == moments.K_MAX + 1
+
+
+def test_experiment_blames_m_only_when_welch_proves_it(tmp_path, capsys):
+    # 21 unit vectors in R^7 must overlap by >= 0.316 > 0.3; in R^8 the Welch
+    # bound (0.285) allows them, so a failed search is reported as one
+    argv = ["experiment", "--out", tmp_path / "out", "--manifest", tmp_path / "m.json"]
+    assert run(argv + ["--m", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "--m = 7 is too small" in err and "Welch" in err
+    assert run(argv + ["--m", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "too small" not in err
+    assert "--m = 8" in err and "3 restarts of 2101 tries" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_density(tmp_path):
     out = tmp_path / "curve.csv"
     assert run(["emit-density", "--grid", "2000", "--out", out]) == 0
@@ -248,7 +275,7 @@ def test_out_of_range_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch
     def work(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
-    for name in ("plan", "desk_config", "build_hard_pair", "build_verification_report",
+    for name in ("plan", "HardPairConfig", "build_hard_pair", "build_verification_report",
                  "distinguishing_experiment"):
         monkeypatch.setattr(cli, name, work)
     out_flag = "--report" if command == "verify" else "--out"

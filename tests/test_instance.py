@@ -5,14 +5,13 @@ import pytest
 
 from massart_forge import instance as inst
 from massart_forge.errors import DensityGapError, RangeError
-from massart_forge.hardpair import IntervalUnion, build_hard_pair
-from massart_forge.planner import desk_config
+from massart_forge.hardpair import HardPairConfig, IntervalUnion, build_hard_pair
 
 
 @pytest.fixture(scope="module")
 def loose_pair():
     # wide zeta pushes measurable mass outside J1 u J2 for conditional tests
-    return build_hard_pair(desk_config(zeta=0.49, d=4, epsilon=0.1))
+    return build_hard_pair(HardPairConfig(zeta=0.49, d=4, epsilon=0.1))
 
 
 def test_make_instance_validation(desk_pair, rng):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from massart_forge import lift
 from massart_forge.errors import BasisSizeError, RangeError
 from massart_forge.instance import make_instance, random_unit_vector, sample_labeled
-from massart_forge.hardpair import build_hard_pair
-from massart_forge.planner import desk_config, log_binomial
+from massart_forge.hardpair import HardPairConfig, build_hard_pair
+from massart_forge.planner import log_binomial
 
 # reduced-dimension configuration: degree 4d+2 at the acceptance desk scale
 # would need ~7e15 monomials, so lift checks run here
@@ -118,7 +118,7 @@ def test_linearity_bridge(rng):
 
 
 def test_consistency_with_ptf(rng):
-    pair = build_hard_pair(desk_config(**LIFT_CONFIG))
+    pair = build_hard_pair(HardPairConfig(**LIFT_CONFIG))
     v = random_unit_vector(3, rng)
     instance = make_instance(pair, v, 0.3)
     degree = len(instance.J2_polynomial) - 1

@@ -12,7 +12,7 @@ from massart_forge.errors import (
     InfeasiblePlanError,
     RangeError,
 )
-from massart_forge.hardpair import build_hard_pair
+from massart_forge.hardpair import HardPairConfig, build_hard_pair, comb_delta
 from massart_forge.instance import make_instance, random_unit_vector
 
 
@@ -75,13 +75,16 @@ def test_plan_boundary_and_errors():
 
 
 def test_desk_config_examples():
-    cfg = planner.desk_config(0.05, 10, 0.05)
+    cfg = HardPairConfig(0.05, 10, 0.05)
     assert cfg.delta == pytest.approx(0.69233, abs=1e-4)
     assert cfg.delta / 8.0 > 0.0865
     with pytest.raises(DeltaBoundError):
-        planner.desk_config(0.05, 6, 0.05)
+        HardPairConfig(0.05, 6, 0.05)
     with pytest.raises(DimensionBoundError):
-        planner.desk_config(0.05, 1, 0.05)
+        HardPairConfig(0.05, 1, 0.05)
+    # the schedule and the desk configurations derive delta by one formula
+    result = planner.plan(1e4, 0.49, math.exp(-100.0))
+    assert result.delta == comb_delta(result.zeta, result.d)
 
 
 def test_tsybakov_translation():
@@ -122,7 +125,7 @@ def test_verify_tsybakov(desk_pair):
         planner.verify_tsybakov(instance, params, [0.7])
     # eta = 1/2 puts the off-support mass above the bound at small t
     tight = planner.TsybakovParams(A_const=1.0, alpha=0.9)
-    heavy = make_instance(build_hard_pair(planner.desk_config(0.49, 4, 0.1)),
+    heavy = make_instance(build_hard_pair(HardPairConfig(0.49, 4, 0.1)),
                           random_unit_vector(4, rng), 0.5)
     assert heavy.off_support_mass() > 1.0 * 0.01**tight.tail_exponent
     assert not planner.verify_tsybakov(heavy, tight, [0.01])
