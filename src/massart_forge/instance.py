@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # every command draws: load it with the package, not on the first draw
 from numpy.polynomial import polynomial as npoly
 
 from .errors import DensityGapError, RangeError

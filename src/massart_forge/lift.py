@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +49,8 @@ class MonomialBasis:
     The constant monomial comes first; within a degree the exponent tuples
     descend lexicographically (x1^2, x1 x2, x2^2, ...).  parent/parent_var
     express each monomial as parent monomial times one variable, which lets
-    the feature map run in one multiply per entry.
+    the feature map run in one multiply per entry.  Both arrays are
+    read-only: ``enumerate_basis`` hands one basis to every caller.
     """
 
     m: int
@@ -61,7 +63,10 @@ class MonomialBasis:
         return len(self.exponents)
 
 
+@lru_cache(maxsize=32)
 def enumerate_basis(m: int, degree: int) -> MonomialBasis:
+    """The basis of all monomials of degree <= degree in m variables,
+    memoised on (m, degree)."""
     if m < 1 or degree < 0:
         raise RangeError(f"need m >= 1 and degree >= 0, got m = {m}, degree = {degree}")
     size = math.comb(m + degree, degree)
@@ -85,6 +90,8 @@ def enumerate_basis(m: int, degree: int) -> MonomialBasis:
         reduced[var] -= 1
         parent[i] = index[tuple(reduced)]
         parent_var[i] = var
+    parent.flags.writeable = False
+    parent_var.flags.writeable = False
     return MonomialBasis(
         m=m, degree=degree, exponents=tuple(exponents), parent=parent,
         parent_var=parent_var,

@@ -47,7 +47,7 @@ __all__ = [
     "projected_indicator_query",
     "chow_moment_query",
     "near_orthogonal_set",
-    "pair_failure_bound",
+    "pair_overlap_tail",
     "Hypothesis",
     "learner_constant",
     "learner_chow",
@@ -79,7 +79,8 @@ class SQQuery:
     ever samples the joint law of (T, y), which is distributionally
     identical to sampling full examples and projecting them.  ``g`` returns
     an (r, n) block, one row per statistic and r = len(descriptions), or a
-    length-n vector when r = 1.
+    length-n vector when r = 1; it must be a new float array, which
+    ``evaluate`` clips in place.
 
     ``exact`` optionally computes the r true expectations for a given
     distribution object; queries without them fall back to certified Monte
@@ -92,7 +93,8 @@ class SQQuery:
     exact: Callable[[object], Sequence[float] | None] | None = None
 
     def evaluate(self, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.clip(self.g(t, y), -1.0, 1.0)
+        block = self.g(t, y)
+        return np.clip(block, -1.0, 1.0, out=block)
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,17 @@ class InstanceDistribution(NullDistribution):
         super().__init__(instance.m, instance.p)
         self.instance = instance
         self.v = instance.v
+        self._signed_moments: dict[int, float] = {}
+
+    def signed_moment(self, i: int) -> float:
+        """p E_A[X^i] - (1 - p) E_B[X^i], the label-signed moment of the
+        hidden projection, memoised: every probe's closed form reads it."""
+        if i not in self._signed_moments:
+            instance = self.instance
+            self._signed_moments[i] = instance.p * moments.measure_moment(
+                instance.pair.A, i
+            ) - (1.0 - instance.p) * moments.measure_moment(instance.pair.B, i)
+        return self._signed_moments[i]
 
     def sample_xy(self, rng: np.random.Generator, n: int):
         return sample_labeled(self.instance, rng, n)
@@ -306,18 +319,14 @@ def _signed_projection_moment(dist, u: np.ndarray, j: int) -> float:
     """E[y * <u, x>^j] in closed form via one-dimensional moments."""
     if dist.v is None:
         return (2.0 * dist.p - 1.0) * moments.gaussian_moment(j)
-    instance = dist.instance
-    gamma = float(u @ instance.v)
+    gamma = float(u @ dist.v)
     s = math.sqrt(max(0.0, 1.0 - gamma**2))
     total = 0.0
     for i in range(j + 1):
         z_mom = moments.gaussian_moment(j - i)
         if z_mom == 0.0:
             continue
-        proj = instance.p * moments.measure_moment(instance.pair.A, i) - (
-            1.0 - instance.p
-        ) * moments.measure_moment(instance.pair.B, i)
-        total += math.comb(j, i) * gamma**i * s ** (j - i) * z_mom * proj
+        total += math.comb(j, i) * gamma**i * s ** (j - i) * z_mom * dist.signed_moment(i)
     return total
 
 
@@ -401,9 +410,30 @@ def chow_moment_query(m: int) -> SQQuery:
 # ----------------------------------------------------- direction sets
 
 
-def pair_failure_bound(m: int, c: float) -> float:
-    """Per-pair overlap failure probability bound, 2e^{-c^2 m/4} + 2e^{-m/32}."""
-    return 2.0 * math.exp(-(c**2) * m / 4.0) + 2.0 * math.exp(-m / 32.0)
+def pair_overlap_tail(m: int, c: float) -> float:
+    """P(|<u, v>| > c) for independent uniform unit vectors u, v in R^m.
+
+    That is I_{1-c^2}((m-1)/2, 1/2), the two-sided tail of Student's t with
+    nu = m - 1 degrees of freedom at sqrt(nu) c / sqrt(1 - c^2), whose angle
+    theta = arctan(t / sqrt(nu)) is arcsin(c).  The finite sums of
+    Abramowitz & Stegun 26.7.3 (odd nu) and 26.7.4 (even nu) give
+    A = P(|T| <= t) in powers of cos(theta) = sqrt(1 - c^2); the tail is
+    1 - A.  In R^1, u and v are +-1, so the overlap is 1.
+    """
+    if m == 1:
+        return 0.0 if c >= 1.0 else 1.0
+    nu = m - 1
+    odd = nu % 2
+    cos2 = 1.0 - c * c
+    # cos^k(theta) terms for k = odd, odd + 2, ..., nu - 2, each the one
+    # before times cos^2 (k - 1)/k
+    term = math.sqrt(cos2) if odd else 1.0
+    series = term if nu > 1 else 0.0
+    for k in range(odd + 2, nu - 1, 2):
+        term *= cos2 * (k - 1) / k
+        series += term
+    inside = 2.0 / math.pi * (math.asin(c) + c * series) if odd else c * series
+    return max(0.0, 1.0 - inside)
 
 
 def near_orthogonal_set(
@@ -411,20 +441,20 @@ def near_orthogonal_set(
 ) -> np.ndarray:
     """Uniform unit vectors, rejection-resampled until pairwise |<u,v>| <= c.
 
-    The try budget is sized from the per-pair failure bound
-    2e^{-c^2 m/4} + 2e^{-m/32}: ten attempts per requested vector, inflated
-    by the bound's per-candidate rejection estimate (capped, since the
-    union bound turns vacuous long before sampling actually struggles).
-    A search that spends it (a greedy set can stall on its last vectors)
-    restarts from scratch on the same generator, up to DIRECTION_RESTARTS
-    times; a set found on the first pass never sees a restart.
+    The try budget is sized from the exact per-pair overlap probability
+    p = P(|<u, v>| > c) (``pair_overlap_tail``): ten attempts per requested
+    vector, inflated by the union-bound rejection estimate (k - 1) p of the
+    last candidate, capped at 0.9.  A search that spends it (a greedy set
+    can stall on its last vectors) restarts from scratch on the same
+    generator, up to DIRECTION_RESTARTS times; a set found on the first
+    pass never sees a restart.
     """
     if not (0.0 < c <= 1.0):
         raise RangeError(f"c = {c} outside (0, 1]")
     if target_size < 1:
         raise RangeError("target_size must be at least 1")
-    p_bound = pair_failure_bound(m, c)
-    reject = min(0.9, (target_size - 1) * p_bound)
+    p_pair = pair_overlap_tail(m, c)
+    reject = min(0.9, (target_size - 1) * p_pair)
     max_tries = math.ceil(10.0 * target_size / (1.0 - reject))
     out = np.empty((target_size, m))
     for _ in range(DIRECTION_RESTARTS + 1):
@@ -438,8 +468,7 @@ def near_orthogonal_set(
                     return out
     raise DirectionSetError(
         f"gave up after {DIRECTION_RESTARTS} restarts of {max_tries} tries each, the last "
-        f"with {count}/{target_size} vectors; per-pair failure bound "
-        f"2e^(-c^2 m/4) + 2e^(-m/32) = {p_bound:.3g}"
+        f"with {count}/{target_size} vectors; per-pair P(|<u, v>| > c) = {p_pair:.3g}"
     )
 
 

@@ -163,7 +163,7 @@ def _massart_section(pair, eta: float, m: int, seed: int) -> dict:
     x, y = sample_labeled(instance, rng, n)
 
     flips = flip_probability(instance, x)
-    flip_values = set(np.unique(flips).tolist())
+    flip_values = set(flips.tolist())  # np.unique would import numpy.ma for this alone
     opt = opt_error(instance)
 
     bayes_err = float(np.mean(ptf_sign(instance, x) != y))

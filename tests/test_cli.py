@@ -205,6 +205,13 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
           "--m", "4", "--n", "10", "--seed", "-1"], "--seed"),
         (["experiment", "--m", "8"], "--m"),  # too few dimensions for 21 directions
         (["verify", "--k", str(moments.K_MAX + 1)], "--k"),
+        # delta = 4 sqrt(log(1/zeta))/d >= 1, and epsilon >= delta/8
+        (["verify", "--d", "6"], "--d"),
+        (["experiment", "--zeta", "0.01", "--d", "8"], "--zeta"),
+        (["verify", "--epsilon", "0.09"], "--epsilon"),
+        (["gen", "--zeta", "0.05", "--d", "10", "--epsilon", "0.2", "--eta", "0.3",
+          "--m", "4", "--n", "10", "--seed", "1"], "--epsilon"),
+        (["emit-density", "--epsilon", "0.5"], "--epsilon"),
     ],
 )
 def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):

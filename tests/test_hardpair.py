@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from massart_forge import moments
+from massart_forge import hardpair, moments
 from massart_forge.errors import (
     ConfigValidationError,
     DeltaBoundError,
@@ -13,6 +13,8 @@ from massart_forge.errors import (
 from massart_forge.hardpair import (
     HardPairConfig,
     IntervalUnion,
+    PiecewiseGaussianMeasure,
+    build_hard_pair,
     cdf,
     density_curve,
     mass_in,
@@ -154,3 +156,121 @@ def test_density_curve(desk_pair, desk_config):
     assert len(x) == 5000
     assert not np.any((j1 == 1) & (j2 == 1))
     assert np.all(da[j2 == 1] == 0.0)
+
+
+# ---------------------------------------- numpy Phi and the within-piece inversion
+
+# the desk pair, the lift section's reduced pair, the widest epsilon at the
+# desk delta and a 40-period comb: every construction the tests and CLI build
+_CONFIGS = {
+    "desk": dict(zeta=0.05, d=10, epsilon=0.05),
+    "lift": dict(zeta=0.45, d=4, epsilon=0.1),
+    "wide": dict(zeta=0.05, d=10, epsilon=0.99 * 4.0 * math.sqrt(math.log(20.0)) / 80.0),
+    "d40": dict(zeta=0.05, d=40, epsilon=0.01),
+}
+_EPS = 2.0**-52
+# odd-shaped pieces: the full line, the right tail, one straddling 0 with a
+# shift, one tiny straddling piece and one deep in the left tail
+_ODD_PIECES = [(-40.0, 40.0, 0.0), (1.0, 40.0, 0.0), (-3.0, 2.0, 0.5),
+               (-0.001, 0.002, 0.0), (-37.0, -36.0, 0.0)]
+
+
+def _cdf_rel_errors(x):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    got = hardpair._gaussian_cdf(x)
+    exact = [mpmath.ncdf(mpmath.mpf(float(v))) for v in x]
+    return np.array([float((mpmath.mpf(float(g)) - e) / e) for g, e in zip(got, exact)])
+
+
+def _piece_arguments(measure):
+    """Every value phi_mass and the sampler pass to Phi for this measure."""
+    ends = np.concatenate([measure.a + measure.shift, measure.b + measure.shift,
+                           measure.a + 2.0 * measure.shift, measure.b + 2.0 * measure.shift])
+    return np.concatenate([ends, -ends, [-measure.tail_start]])
+
+
+def test_gaussian_cdf_matches_mpmath_on_a_dense_grid():
+    # relative error < 4 eps (8 ulp) for -37.5 <= x <= 0, where Phi is a
+    # normal double, and < 2 eps for x > 0
+    left = np.concatenate([np.linspace(-37.5, 0.0, 15001), [-6.0, np.nextafter(-6.0, 0.0)]])
+    right = np.linspace(0.0, 10.0, 2001)[1:]
+    assert np.max(np.abs(_cdf_rel_errors(left))) < 4.0 * _EPS
+    assert np.max(np.abs(_cdf_rel_errors(right))) < 2.0 * _EPS
+    assert hardpair._gaussian_cdf(0.0) == 0.5
+    assert hardpair._gaussian_cdf(np.array([-np.inf, -40.0, 40.0, np.inf])).tolist() == [
+        0.0, 0.0, 1.0, 1.0
+    ]
+    assert np.isnan(hardpair._gaussian_cdf(np.nan))
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_gaussian_cdf_matches_mpmath_on_every_piece_endpoint(name):
+    pair = build_hard_pair(HardPairConfig(**_CONFIGS[name]))
+    for measure in (pair.A, pair.B):
+        x = _piece_arguments(measure)
+        x = x[x >= -37.5]
+        errors = np.abs(_cdf_rel_errors(x))
+        assert np.max(errors[x <= 0.0]) < 4.0 * _EPS
+        assert np.max(errors[x > 0.0]) < 2.0 * _EPS
+
+
+def _exact_inverse(measure, i, u):
+    """The exact inverse CDF of u on piece i, read from the left, or from the
+    right for a piece with a + shift >= 0 (mpmath, 50 digits)."""
+    import mpmath
+
+    mpmath.mp.dps = 50
+    h = mpmath.mpf(float(measure.shift[i]))
+    lo = mpmath.mpf(float(measure.a[i])) + h
+    hi = mpmath.mpf(float(measure.b[i])) + h
+    u = mpmath.mpf(float(u))
+    if lo >= 0:
+        p = mpmath.ncdf(-hi) + u * (mpmath.ncdf(-lo) - mpmath.ncdf(-hi))
+        return -mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1) - h
+    p = mpmath.ncdf(lo) + u * (mpmath.ncdf(hi) - mpmath.ncdf(lo))
+    return mpmath.sqrt(2) * mpmath.erfinv(2 * p - 1) - h
+
+
+def _draws_and_inputs(measure, seed, n):
+    """sample()'s output with the piece index and uniform it drew, redrawn in
+    the same order from the same seed."""
+    x = sample(measure, np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    masses = np.maximum(measure.piece_masses, 0.0)
+    idx = rng.choice(len(masses), size=n, p=masses / masses.sum())
+    return x, idx, rng.random(n)
+
+
+def _assert_inversion_bound(measure, seed, n):
+    mpmath = pytest.importorskip("mpmath")
+    x, idx, u = _draws_and_inputs(measure, seed, n)
+    assert np.all((measure.a[idx] <= x) & (x <= measure.b[idx]))
+    for xi, i, ui in zip(x, idx, u):
+        want = _exact_inverse(measure, i, ui)
+        assert abs(mpmath.mpf(float(xi)) - want) <= 2.0**-49 * (1 + abs(want)), (i, ui)
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_inversion_error_bound_against_mpmath(name):
+    pair = build_hard_pair(HardPairConfig(**_CONFIGS[name]))
+    _assert_inversion_bound(pair.A, 11, 600)
+    _assert_inversion_bound(pair.B, 12, 600)
+
+
+@pytest.mark.parametrize("lo, hi, shift", _ODD_PIECES)
+def test_inversion_error_bound_on_odd_pieces(lo, hi, shift):
+    measure = PiecewiseGaussianMeasure(
+        a=np.array([lo]), b=np.array([hi]), scale=np.array([1.0]),
+        shift=np.array([shift]), z=1.0, tail_start=40.0,
+    )
+    _assert_inversion_bound(measure, 13, 300)
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_every_draw_lies_in_its_piece(name):
+    pair = build_hard_pair(HardPairConfig(**_CONFIGS[name]))
+    for seed, measure in enumerate((pair.A, pair.B)):
+        x, idx, _ = _draws_and_inputs(measure, seed, 200_000)
+        assert np.all((measure.a[idx] <= x) & (x <= measure.b[idx]))
+        assert np.array_equal(measure.piece_index(x), idx)

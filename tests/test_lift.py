@@ -37,6 +37,15 @@ def test_basis_size_and_determinism(m, degree):
     assert len(basis) == round(math.exp(log_binomial(m + degree, degree)))
 
 
+def test_basis_memoised_and_read_only():
+    basis = lift.enumerate_basis(3, 4)
+    assert lift.enumerate_basis(3, 4) is basis
+    assert lift.enumerate_basis(3, 5) is not basis
+    for shared in (basis.parent, basis.parent_var):
+        with pytest.raises(ValueError):
+            shared[1] = 0
+
+
 def test_basis_size_cap():
     with pytest.raises(BasisSizeError):
         lift.enumerate_basis(40, 12)

@@ -435,7 +435,7 @@ def test_near_orthogonal_set_checks(rng):
     assert sqlab.near_orthogonal_set(3, 1.0, 8, rng).shape == (8, 3)
     with pytest.raises(DirectionSetError) as info:
         sqlab.near_orthogonal_set(2, 0.01, 50, rng)
-    assert "2e^(-c^2 m/4)" in str(info.value)
+    assert f"P(|<u, v>| > c) = {sqlab.pair_overlap_tail(2, 0.01):.3g}" in str(info.value)
     with pytest.raises(RangeError):
         sqlab.near_orthogonal_set(5, 1.5, 3, rng)
 
@@ -468,10 +468,52 @@ def test_stalled_direction_searches_restart(monkeypatch):
             sqlab.near_orthogonal_set(20, sqlab.DIRECTION_C, size, _dirs_rng(seed))
 
 
-def test_pair_failure_bound():
-    assert sqlab.pair_failure_bound(200, 0.3) == pytest.approx(
-        2.0 * math.exp(-0.09 * 200 / 4.0) + 2.0 * math.exp(-200 / 32.0)
-    )
+def test_pair_failure_bound(monkeypatch):
+    # the exact overlap law I_{1-c^2}((m-1)/2, 1/2) of two uniform unit vectors
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for m in range(2, 65):
+        for c in (0.01, 0.1, 0.3, 0.5, 0.9, 0.999, 1.0):
+            want = float(mpmath.betainc((m - 1) / 2, 0.5, 0, 1 - mpmath.mpf(c) ** 2,
+                                        regularized=True))
+            assert sqlab.pair_overlap_tail(m, c) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert sqlab.pair_overlap_tail(1, 0.3) == 1.0
+    assert sqlab.pair_overlap_tail(20, 0.3) == pytest.approx(0.18641143545847, rel=1e-12)
+    # at the defaults the rejection estimate still caps, so the first pass keeps
+    # its 2 101 tries
+    monkeypatch.setattr(sqlab, "DIRECTION_RESTARTS", 0)
+    with pytest.raises(DirectionSetError, match="of 2101 tries each"):
+        sqlab.near_orthogonal_set(20, sqlab.DIRECTION_C, sqlab.N_PROBES + 1, _dirs_rng(83))
+
+
+def test_signed_moments_read_once_per_instance(planted, monkeypatch):
+    pair, instance, directions = planted
+    dist = sqlab.InstanceDistribution(instance)
+    battery = [sqlab.projected_moment_query(u, *sqlab.MOMENT_ORDERS) for u in directions]
+    calls = []
+    measure_moment = moments.measure_moment
+
+    def counted(measure, t):
+        calls.append(t)
+        return measure_moment(measure, t)
+
+    monkeypatch.setattr(moments, "measure_moment", counted)
+    first = [dist.true_expectation(query) for query in battery]
+    again = [dist.true_expectation(query) for query in battery]
+    assert sorted(calls) == [0, 0, 1, 1, 2, 2]  # orders 0-2 of A and of B
+    assert first == again
+    for u, values in zip(directions, first):
+        gamma = float(u @ instance.v)
+        s = math.sqrt(max(0.0, 1.0 - gamma**2))
+
+        def signed(i):
+            return instance.p * measure_moment(pair.A, i) - (1.0 - instance.p) * (
+                measure_moment(pair.B, i)
+            )
+
+        order_1 = gamma * signed(1)
+        order_2 = s**2 * signed(0) + gamma**2 * signed(2)
+        assert values == [order_1 / sqlab.CLIP_RADIUS, order_2 / sqlab.CLIP_RADIUS**2]
 
 
 def test_learner_constant(planted, rng):
