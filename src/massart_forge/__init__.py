@@ -1,7 +1,7 @@
 """Hard-instance constructions for learning halfspaces under Massart noise,
 with exact verification tooling and a simulated statistical-query lab."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .hardpair import (
     HardPair,
@@ -21,7 +21,6 @@ from .instance import (
     opt_error,
     ptf_sign,
     sample_labeled,
-    sample_null,
 )
 from .lift import enumerate_basis, halfspace_from_ptf, veronese
 from .moments import (

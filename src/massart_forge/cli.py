@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +58,22 @@ _INTERVALS = {
     "--eta": ("(0, 1/2]", lambda v: 0.0 < v <= 0.5),
     "--zeta": ("(0, 1/2)", lambda v: 0.0 < v < 0.5),
     "--epsilon": ("(0, inf)", lambda v: v > 0.0),
+    "--log-M": ("(e, inf)", lambda v: math.e < v < math.inf),
 }
+
+
+def _dest(flag: str) -> str:
+    """The argparse dest of a long flag: every flag is "--" + dest, "_" as "-"."""
+    return flag[2:].replace("-", "_")
 
 
 def _check_bounds(args) -> None:
     for flag, least in _FLOORS.items():
-        value = getattr(args, flag[2:], None)
+        value = getattr(args, _dest(flag), None)
         if value is not None:
             _require_at_least(flag, value, least)
     for flag, (interval, ok) in _INTERVALS.items():
-        value = getattr(args, flag[2:], None)
+        value = getattr(args, _dest(flag), None)
         if value is not None and not ok(value):
             raise RangeError(f"{flag} out of range {interval}, got {value}")
 
@@ -77,11 +82,19 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_manifest(path: Path, command: str, config: dict, seed, outputs, passed) -> None:
+def _write_manifest(args, outputs, passed) -> None:
+    """The run manifest.  Its config is the parsed flags, every dest but the
+    subcommand and the manifest path, Paths as strings: ``replay`` turns it
+    back into the same argv."""
+    config = {
+        dest: str(value) if isinstance(value, Path) else value
+        for dest, value in vars(args).items()
+        if dest not in ("command", "manifest")
+    }
     payload = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "rng": RNG_NAME,
         "threads": thread_cap(),
@@ -89,17 +102,18 @@ def _write_manifest(path: Path, command: str, config: dict, seed, outputs, passe
         "outputs": [str(p) for p in outputs],
         "pass": passed,
     }
+    path = _manifest_path(args)
     path.parent.mkdir(parents=True, exist_ok=True)
     serialize.dump(payload, path)
 
 
-def _manifest_path(args, default_stem: str) -> Path:
-    if getattr(args, "manifest", None):
+def _manifest_path(args) -> Path:
+    if args.manifest:
         return Path(args.manifest)
     out = getattr(args, "out", None) or getattr(args, "report", None)
     if out:
         return Path(str(out) + ".manifest.json")
-    return Path(f"{default_stem}.manifest.json")
+    return Path(f"{args.command}.manifest.json")
 
 
 def _emit(text: str, path: Path | None) -> list[Path]:
@@ -199,19 +213,7 @@ def _cmd_plan(args) -> int:
     )
     result = plan(args.log_M, args.eta, zeta, constants)
     outputs = _emit(serialize.dumps(result.to_dict()), args.out)
-    _write_manifest(
-        _manifest_path(args, "plan"),
-        "plan",
-        {
-            "log_M": args.log_M,
-            "zeta": zeta,
-            "eta": args.eta,
-            "constants": asdict(constants),
-        },
-        None,
-        outputs,
-        True,
-    )
+    _write_manifest(args, outputs, True)
     return 0
 
 
@@ -251,23 +253,7 @@ def _cmd_gen(args) -> int:
     sidecar_path = Path(str(args.out) + ".json")
     serialize.dump(sidecar, sidecar_path)
 
-    _write_manifest(
-        _manifest_path(args, "gen"),
-        "gen",
-        {
-            "zeta": args.zeta,
-            "d": args.d,
-            "epsilon": args.epsilon,
-            "eta": args.eta,
-            "m": args.m,
-            "n": args.n,
-            "redact": bool(args.redact),
-            "out": str(args.out),
-        },
-        args.seed,
-        [args.out, sidecar_path],
-        True,
-    )
+    _write_manifest(args, [args.out, sidecar_path], True)
     return 0
 
 
@@ -280,21 +266,7 @@ def _cmd_verify(args) -> int:
     for name in SECTIONS:
         status = "pass" if report[name]["pass"] else "FAIL"
         print(f"verify {name}: {status}", file=sys.stderr)
-    _write_manifest(
-        _manifest_path(args, "verify"),
-        "verify",
-        {
-            "zeta": args.zeta,
-            "d": args.d,
-            "epsilon": args.epsilon,
-            "eta": args.eta,
-            "m": args.m,
-            "k": args.k,
-        },
-        args.seed,
-        outputs,
-        report["pass"],
-    )
+    _write_manifest(args, outputs, report["pass"])
     return 0 if report["pass"] else 1
 
 
@@ -356,24 +328,7 @@ def _cmd_experiment(args) -> int:
         "per_seed": [r.to_dict() for r in reports],
     }
     outputs = _emit(serialize.dumps(aggregate), args.out)
-    _write_manifest(
-        _manifest_path(args, "experiment"),
-        "experiment",
-        {
-            "zeta": args.zeta,
-            "d": args.d,
-            "epsilon": args.epsilon,
-            "eta": args.eta,
-            "m": args.m,
-            "tau": args.tau,
-            "seeds": args.seeds,
-            "learners": list(learners),
-            "oracle_mode": args.oracle_mode,
-        },
-        args.seed,
-        outputs,
-        True,
-    )
+    _write_manifest(args, outputs, True)
     return 0
 
 
@@ -392,22 +347,7 @@ def _cmd_emit_density(args) -> int:
             handle.write(
                 f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{row[3]:d},{row[4]:d}\n"
             )
-    _write_manifest(
-        _manifest_path(args, "emit-density"),
-        "emit-density",
-        {
-            "zeta": args.zeta,
-            "d": args.d,
-            "epsilon": args.epsilon,
-            "grid": args.grid,
-            "lo": lo,
-            "hi": hi,
-            "out": str(args.out),
-        },
-        None,
-        [args.out],
-        True,
-    )
+    _write_manifest(args, [args.out], True)
     return 0
 
 
@@ -415,29 +355,23 @@ def _cmd_replay(args) -> int:
     import json
 
     manifest = json.loads(args.manifest_file.read_text(encoding="utf-8"))
-    command = manifest["command"]
-    config = manifest["config"]
-    argv = [command]
-    for key, value in config.items():
-        if key == "constants":
-            for name, val in value.items():
-                argv += [f"--{name.replace('_', '-')}", repr(float(val))]
-            continue
-        if key == "learners":
-            argv += ["--learners", ",".join(value)]
-            continue
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        else:
-            argv += [flag, str(value)]
-    if manifest.get("seed") is not None and command in ("gen", "verify", "experiment"):
-        argv += ["--seed", str(manifest["seed"])]
-    # recover the output path for commands that do not echo it in config
-    if manifest["outputs"] and "--out" not in argv and "--report" not in argv:
-        flag = "--report" if command == "verify" else "--out"
-        argv += [flag, manifest["outputs"][0]]
+    written_by = manifest.get("tool_version")
+    if written_by != __version__:
+        # the config format is per version: an older manifest could replay
+        # as a different run, so it is refused rather than guessed at
+        raise MassartForgeError(
+            f"{args.manifest_file} was written by massart-forge {written_by}; "
+            f"this is {__version__}, which replays only its own manifests"
+        )
+    # the inverse of _write_manifest's config: None and False are absent
+    # flags, True a bare one
+    argv = [manifest["command"]]
+    for dest, value in manifest["config"].items():
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")
     return main(argv)
 
 

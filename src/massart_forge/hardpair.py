@@ -236,11 +236,20 @@ class PiecewiseGaussianMeasure:
     @property
     def piece_masses(self) -> np.ndarray:
         """Unnormalised mass of each piece (exact truncated-Gaussian)."""
-        return self.scale * phi_mass(self.a + self.shift, self.b + self.shift)
+        return self.scale * self.phi_masses
 
     def piece_index(self, x):
         """Index of the piece containing each x, or -1."""
         return _piece_index(self.a, self.b, x)
+
+    @cached_property
+    def phi_masses(self) -> np.ndarray:
+        """Phi(b_i + h_i) - Phi(a_i + h_i) per piece, computed once: the piece
+        masses, the CDF, the sampler's table and the moment recurrences read it,
+        so it is read-only."""
+        masses = phi_mass(self.a + self.shift, self.b + self.shift)
+        masses.flags.writeable = False
+        return masses
 
     @cached_property
     def _inversion(self) -> _InversionTable:
@@ -347,7 +356,7 @@ def cdf(measure: PiecewiseGaussianMeasure, x):
     Kept as the reference that test_sampling_ks compares ``sample`` against.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    full = measure.scale * phi_mass(measure.a + measure.shift, measure.b + measure.shift)
+    full = measure.scale * measure.phi_masses
     cum = np.concatenate([[0.0], np.cumsum(full)])
     # pieces 0..idx-2 lie fully left of x; piece idx-1 may be partial
     idx = np.searchsorted(measure.a, x, side="right")
@@ -396,7 +405,7 @@ class _InversionTable:
     def build(cls, measure: PiecewiseGaussianMeasure) -> _InversionTable:
         lo = measure.a + measure.shift
         hi = measure.b + measure.shift
-        mass = phi_mass(lo, hi)
+        mass = measure.phi_masses
         masses = np.maximum(measure.scale * mass, 0.0)  # piece_masses, floored at 0
         straddle = (lo < 0.0) & (hi > 0.0)
         # both frames of every piece; the unused one copies the used one

@@ -27,7 +27,6 @@ __all__ = [
     "evaluate_from_roots",
     "draw_labels",
     "sample_labeled",
-    "sample_null",
     "flip_probability",
     "opt_error",
     "ptf_sign",
@@ -50,7 +49,9 @@ def build_interval_polynomial(region: IntervalUnion) -> np.ndarray:
 def evaluate_from_roots(roots: np.ndarray, t) -> np.ndarray:
     """q(t) as the explicit root product; numerically stable at any degree.
 
-    Kept until the lift check's sign certification (ROADMAP item 5) decides its use.
+    Kept until the lift check's sign certification ("Lift signs" under the
+    ROADMAP item "Certificates compared at a precision that resolves them")
+    decides its use.
 
     The expanded coefficient form loses the sign near roots once the degree
     grows past ~20; the product form keeps relative error at ~degree * ulp.
@@ -151,15 +152,6 @@ def sample_labeled(
         t[~pos] = sample(instance.pair.B, rng, n - n_pos)
     z = rng.standard_normal((n, instance.m - 1))
     return embed_samples(instance.v, t, z), y
-
-
-def sample_null(
-    m: int, p: float, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The indistinguishable baseline: Gaussian x, label independent of x."""
-    y = draw_labels(rng, n, p)
-    x = rng.standard_normal((n, m))
-    return x, y
 
 
 def flip_probability(instance: MassartInstance, x) -> np.ndarray | float:

@@ -48,16 +48,18 @@ K_MAX = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _piece_moment_table(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
+def _piece_moment_table(a: np.ndarray, b: np.ndarray, t: int, m0: np.ndarray) -> np.ndarray:
     """M_j(a_i, b_i) for j = 0..t, vectorised over pieces: the integral of
     x^j G(x) over [a_i, b_i] by the integration-by-parts recurrence
 
         M_j = (j-1) M_{j-2} + a^{j-1} G(a) - b^{j-1} G(b),
-        M_0 = Phi(b) - Phi(a),  M_1 = G(a) - G(b).
+        M_0 = Phi(b) - Phi(a),  M_1 = G(a) - G(b),
+
+    with M_0 passed in as m0.
     """
     ga, gb = gaussian_pdf(a), gaussian_pdf(b)
     table = np.empty((t + 1, len(a)))
-    table[0] = phi_mass(a, b)
+    table[0] = m0
     if t >= 1:
         table[1] = ga - gb
     apow = np.ones_like(a)
@@ -80,7 +82,7 @@ def measure_moment(measure: PiecewiseGaussianMeasure, t: int) -> float:
         raise MomentRangeError(f"t = {t} outside [0, k_max = {K_MAX}]")
     a_s = measure.a + measure.shift
     b_s = measure.b + measure.shift
-    table = _piece_moment_table(a_s, b_s, t)
+    table = _piece_moment_table(a_s, b_s, t, measure.phi_masses)
     if not np.all(np.isfinite(table)):
         raise MomentRangeError(f"intermediate overflow computing moment t = {t}")
     terms: list[float] = []

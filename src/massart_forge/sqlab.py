@@ -33,7 +33,6 @@ from .instance import (
     make_instance,
     random_unit_vector,
     sample_labeled,
-    sample_null,
 )
 
 __all__ = [
@@ -134,7 +133,8 @@ class NullDistribution:
         self.p = p
 
     def sample_xy(self, rng: np.random.Generator, n: int):
-        return sample_null(self.m, self.p, rng, n)
+        """n draws of (x, y): labels, then one (n, m) normal block for x."""
+        return self.sample_projected(rng, n, np.eye(self.m))
 
     def sample_projected(self, rng: np.random.Generator, n: int, directions: np.ndarray):
         """Joint law of (<u_j, x>)_j and y without materialising x: labels,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from massart_forge import cli, moments, verification
+from massart_forge import __version__, cli, moments, verification
 from massart_forge.cli import main
 from massart_forge.errors import MassartForgeError
 
@@ -69,6 +70,74 @@ def test_replay_reproduces(tmp_path):
     (tmp_path / "orig.csv").unlink()
     assert run(["replay", tmp_path / "orig.csv.manifest.json"]) == 0
     assert (tmp_path / "orig.csv").read_bytes() == original
+
+
+# one run per command, every flag kind: a derived value (plan's zeta from
+# --zeta-exp, emit-density's default --lo/--hi), a changed default, a bare
+# flag, a zero (experiment's --seed, default 1), a choice and a learner list
+_REPLAYED = {
+    "plan": ["plan", "--log-M", "1e4", "--zeta-exp", "0.5", "--eta", "0.49",
+             "--C-tau", "2.5", "--out", "plan.json"],
+    "gen": ["gen", "--zeta", "0.05", "--d", "10", "--epsilon", "0.05", "--eta", "0.3",
+            "--m", "3", "--n", "200", "--seed", "5", "--redact", "--out", "data.csv"],
+    "verify": ["verify", "--seed", "7", "--report", "report.json"],
+    "experiment": ["experiment", "--seeds", "2", "--seed", "0", "--learners", "constant",
+                   "--oracle-mode", "adversarial", "--out", "exp.json"],
+    "emit-density": ["emit-density", "--grid", "200", "--out", "curve.csv"],
+}
+_RUN_TIME_FIELD = re.compile(rb'^\s*"(timestamp_utc|runtime_seconds)": .*$\n?', re.M)
+
+
+def _files(directory):
+    return {p.name: _RUN_TIME_FIELD.sub(b"", p.read_bytes()) for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("argv", _REPLAYED.values(), ids=_REPLAYED.keys())
+def test_replay_round_trips_every_command(tmp_path, monkeypatch, argv):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run(argv) == 0
+    written = _files(work)
+    (name,) = [name for name in written if name.endswith(".manifest.json")]
+    saved = tmp_path / "saved.manifest.json"
+    (work / name).rename(saved)
+    for path in work.iterdir():
+        path.unlink()
+    assert run(["replay", saved]) == 0
+    assert _files(work) == written
+
+
+def test_replay_refuses_another_tool_version(tmp_path, monkeypatch, capsys):
+    # a 0.1.0 verify manifest kept its report path only in outputs; replayed
+    # by today's rule it would print the report to stdout instead
+    monkeypatch.chdir(tmp_path)
+    old = {
+        "command": "verify",
+        "config": {"zeta": 0.05, "d": 10, "epsilon": 0.05, "eta": 0.3, "m": 8, "k": 12},
+        "seed": 0,
+        "tool_version": "0.1.0",
+        "outputs": ["report.json"],
+        "pass": True,
+    }
+    (tmp_path / "old.manifest.json").write_text(json.dumps(old))
+    assert run(["replay", "old.manifest.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0.1.0" in captured.err and __version__ in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["old.manifest.json"]
+
+
+def test_every_flag_is_its_dest():
+    # the manifest records dests and replay rebuilds "--" + dest, "_" as "-"
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, subparser in sub.choices.items():
+        for action in subparser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                flag = "--" + action.dest.replace("_", "-")
+                assert action.option_strings == [flag], command
+                assert cli._dest(flag) == action.dest
 
 
 def test_verify_pass_and_refusal(tmp_path):
@@ -212,6 +281,10 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
         (["gen", "--zeta", "0.05", "--d", "10", "--epsilon", "0.2", "--eta", "0.3",
           "--m", "4", "--n", "10", "--seed", "1"], "--epsilon"),
         (["emit-density", "--epsilon", "0.5"], "--epsilon"),
+        # log M must be finite and above e before plan raises it to --zeta-exp
+        (["plan", "--log-M", "-5", "--zeta-exp", "0.5", "--eta", "0.3"], "--log-M"),
+        (["plan", "--log-M", "nan", "--zeta", "0.1", "--eta", "0.3"], "--log-M"),
+        (["plan", "--log-M", "inf", "--zeta", "0.1", "--eta", "0.3"], "--log-M"),
     ],
 )
 def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):
@@ -242,6 +315,7 @@ _FLAG_COMMANDS = {
     "--d": ("gen", "verify", "experiment", "emit-density"),
     "--zeta": ("gen", "verify", "experiment", "emit-density"),
     "--epsilon": ("gen", "verify", "experiment", "emit-density"),
+    "--log-M": ("plan",),
 }
 _OUT_OF_RANGE = {
     "--m": st.integers(max_value=0),
@@ -257,6 +331,7 @@ _OUT_OF_RANGE = {
     "--d": st.integers(max_value=1),
     "--zeta": st.one_of(st.floats(max_value=0.0), st.floats(min_value=0.5), st.just(math.nan)),
     "--epsilon": st.one_of(st.floats(max_value=0.0), st.just(math.nan)),
+    "--log-M": st.one_of(st.floats(max_value=math.e), st.just(math.inf), st.just(math.nan)),
 }
 
 

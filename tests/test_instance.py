@@ -6,6 +6,7 @@ import pytest
 from massart_forge import instance as inst
 from massart_forge.errors import DensityGapError, RangeError
 from massart_forge.hardpair import HardPairConfig, IntervalUnion, build_hard_pair
+from massart_forge.sqlab import NullDistribution
 
 
 @pytest.fixture(scope="module")
@@ -152,11 +153,11 @@ def test_conditional_law_off_support(loose_pair, rng):
 
 def test_sample_null(rng):
     n = 400_000
-    x, y = inst.sample_null(6, 0.7, rng, n)
+    x, y = NullDistribution(6, 0.7).sample_xy(rng, n)
     assert abs(y.mean() - 0.4) <= 4.0 * math.sqrt(1.0 - 0.4**2) / math.sqrt(n)
     for i in range(6):
         assert abs((y * x[:, i]).mean()) <= 4.0 / math.sqrt(n)
-    _, y_half = inst.sample_null(3, 0.5, rng, n)
+    _, y_half = NullDistribution(3, 0.5).sample_xy(rng, n)
     assert abs(y_half.mean()) <= 4.0 / math.sqrt(n)
 
 

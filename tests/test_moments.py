@@ -11,6 +11,7 @@ from massart_forge.hardpair import (
     PiecewiseGaussianMeasure,
     build_hard_pair,
     gaussian_pdf,
+    phi_mass,
     sample,
 )
 
@@ -36,7 +37,8 @@ def test_gaussian_moments():
 
 def _truncated_moment(a: float, b: float, t: int) -> float:
     """Integral of x^t G(x) over [a, b], through the per-piece recurrence table."""
-    return float(moments._piece_moment_table(np.array([a]), np.array([b]), t)[t, 0])
+    a, b = np.array([a]), np.array([b])
+    return float(moments._piece_moment_table(a, b, t, phi_mass(a, b))[t, 0])
 
 
 def test_truncated_moment_base_cases():
