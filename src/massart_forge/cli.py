@@ -59,6 +59,9 @@ _INTERVALS = {
     "--zeta": ("(0, 1/2)", lambda v: 0.0 < v < 0.5),
     "--epsilon": ("(0, inf)", lambda v: v > 0.0),
     "--log-M": ("(e, inf)", lambda v: math.e < v < math.inf),
+    "--zeta-exp": ("(0, 1)", lambda v: 0.0 < v < 1.0),
+    "--lo": ("(-inf, inf)", math.isfinite),
+    "--hi": ("(-inf, inf)", math.isfinite),
 }
 
 
@@ -205,7 +208,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_plan(args) -> int:
     if args.zeta_exp is not None:
-        zeta = math.exp(-(args.log_M**args.zeta_exp))
+        exponent = args.log_M**args.zeta_exp
+        zeta = math.exp(-exponent)
+        if zeta == 0.0:
+            raise RangeError(
+                f"zeta = exp(-(--log-M)^(--zeta-exp)) = exp(-{exponent:.6g}) underflows "
+                "to 0; lower --log-M or --zeta-exp"
+            )
     else:
         zeta = args.zeta
     constants = Constants(
@@ -334,11 +343,13 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_emit_density(args) -> int:
     config = HardPairConfig(zeta=args.zeta, d=args.d, epsilon=args.epsilon)
-    pair = build_hard_pair(config)
     lo = args.lo if args.lo is not None else -args.d * config.delta - 1.0
     hi = args.hi if args.hi is not None else args.d * config.delta + 1.0
     if not lo < hi:
         raise RangeError(f"--lo = {lo} must be below --hi = {hi}")
+    if not math.isfinite(hi - lo):  # the grid step would be inf and x nan
+        raise RangeError(f"--hi - --lo = {hi} - {lo} overflows a float")
+    pair = build_hard_pair(config)
     x, da, db, j1, j2 = density_curve(pair, args.grid, lo, hi)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as handle:

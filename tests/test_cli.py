@@ -285,6 +285,14 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
         (["plan", "--log-M", "-5", "--zeta-exp", "0.5", "--eta", "0.3"], "--log-M"),
         (["plan", "--log-M", "nan", "--zeta", "0.1", "--eta", "0.3"], "--log-M"),
         (["plan", "--log-M", "inf", "--zeta", "0.1", "--eta", "0.3"], "--log-M"),
+        # the paper's exponent 0 < c < 1, and a zeta that underflows to 0
+        (["plan", "--log-M", "1e4", "--zeta-exp", "1000", "--eta", "0.3"], "--zeta-exp"),
+        (["plan", "--log-M", "1e4", "--zeta-exp", "nan", "--eta", "0.3"], "--zeta-exp"),
+        (["plan", "--log-M", "1e6", "--zeta-exp", "0.9", "--eta", "0.3"], "--zeta-exp"),
+        (["plan", "--log-M", "1e6", "--zeta-exp", "0.9", "--eta", "0.3"], "--log-M"),
+        (["emit-density", "--lo=-inf"], "--lo"),
+        (["emit-density", "--hi=inf"], "--hi"),
+        (["emit-density", "--lo=-1e308", "--hi=1e308"], "--lo"),
     ],
 )
 def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):
@@ -316,6 +324,9 @@ _FLAG_COMMANDS = {
     "--zeta": ("gen", "verify", "experiment", "emit-density"),
     "--epsilon": ("gen", "verify", "experiment", "emit-density"),
     "--log-M": ("plan",),
+    "--zeta-exp": ("plan",),
+    "--lo": ("emit-density",),
+    "--hi": ("emit-density",),
 }
 _OUT_OF_RANGE = {
     "--m": st.integers(max_value=0),
@@ -332,6 +343,9 @@ _OUT_OF_RANGE = {
     "--zeta": st.one_of(st.floats(max_value=0.0), st.floats(min_value=0.5), st.just(math.nan)),
     "--epsilon": st.one_of(st.floats(max_value=0.0), st.just(math.nan)),
     "--log-M": st.one_of(st.floats(max_value=math.e), st.just(math.inf), st.just(math.nan)),
+    "--zeta-exp": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)),
+    "--lo": st.sampled_from([-math.inf, math.inf, math.nan]),
+    "--hi": st.sampled_from([-math.inf, math.inf, math.nan]),
 }
 
 

@@ -41,9 +41,30 @@ def test_basis_memoised_and_read_only():
     basis = lift.enumerate_basis(3, 4)
     assert lift.enumerate_basis(3, 4) is basis
     assert lift.enumerate_basis(3, 5) is not basis
-    for shared in (basis.parent, basis.parent_var):
+    for shared in (basis.parent, basis.parent_var, basis.exponent_matrix, basis.multinomials):
         with pytest.raises(ValueError):
             shared[1] = 0
+    assert isinstance(basis.runs, tuple)
+    assert all(isinstance(run, tuple) for run in basis.runs)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_runs_read_only_earlier_columns(m):
+    for degree in range(0, 9):
+        basis = lift.enumerate_basis(m, degree)
+        assert len(basis.runs) == m * degree
+        covered = 1  # the constant monomial is column 0
+        for start, end, first, var in basis.runs:
+            assert start == covered and end > start
+            # a block multiply reads all its inputs before writing
+            assert first + (end - start) <= start
+            for i in range(start, end):
+                assert basis.parent[i] == first + (i - start)
+                assert basis.parent_var[i] == var
+            covered = end
+        assert covered == len(basis)
+        assert np.array_equal(basis.exponent_matrix, np.array(basis.exponents).reshape(-1, m))
+        assert basis.multinomials.tolist() == [float(lift.multinomial(e)) for e in basis.exponents]
 
 
 def test_basis_size_cap():
@@ -141,3 +162,74 @@ def test_consistency_with_ptf(rng):
     t_mid = 0.5 * (pair.J2.intervals[4][0] + pair.J2.intervals[4][1])
     point = t_mid * v
     assert weights.decision_values(point[None, :])[0] < 0.0
+
+
+# the per-monomial loops that veronese and halfspace_from_ptf replaced, kept
+# verbatim: the run and table forms must reproduce them bit for bit
+def _ref_veronese(basis, x):
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    out = np.empty((pts.shape[0], len(basis)))
+    out[:, 0] = 1.0
+    for i in range(1, len(basis)):
+        out[:, i] = out[:, basis.parent[i]] * pts[:, basis.parent_var[i]]
+    return out[0] if single else out
+
+
+def _ref_halfspace_from_ptf(v, coefficients, basis, M):
+    v = np.asarray(v, dtype=float)
+    coefficients = np.asarray(coefficients, dtype=float)
+    degree = len(coefficients) - 1
+    w = np.zeros(M)
+    for i, alpha in enumerate(basis.exponents):
+        j = sum(alpha)
+        if j > degree or coefficients[j] == 0.0:
+            continue
+        v_pow = 1.0
+        for vi, a in zip(v, alpha):
+            if a:
+                v_pow *= vi**a
+        w[i] = coefficients[j] * lift.multinomial(alpha) * v_pow
+    return w
+
+
+def _assert_bitwise(basis, v, coeffs, x, M):
+    features = lift.veronese(basis, x)
+    want_features = _ref_veronese(basis, x)
+    assert features.flags.c_contiguous
+    assert features.shape == want_features.shape
+    assert features.tobytes() == want_features.tobytes()
+    weights = lift.halfspace_from_ptf(v, coeffs, basis, M)
+    want_w = _ref_halfspace_from_ptf(v, coeffs, basis, M)
+    assert weights.w.tobytes() == want_w.tobytes()
+    want_values = want_features @ want_w[: len(basis)]
+    assert weights.decision_values(x).tobytes() == want_values.tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_lift_bitwise_matches_per_monomial_loops(m):
+    rng = np.random.default_rng(1000 + m)
+    for degree in range(0, 9):
+        basis = lift.enumerate_basis(m, degree)
+        for poly_degree in sorted({0, degree // 2, degree}):
+            v = random_unit_vector(m, rng)
+            coeffs = rng.standard_normal(poly_degree + 1)
+            coeffs[rng.random(poly_degree + 1) < 0.3] = 0.0  # exact zeros
+            x = rng.standard_normal((37, m))
+            _assert_bitwise(basis, v, coeffs, x, len(basis) + 3)
+            _assert_bitwise(basis, v, coeffs, x[0], len(basis))  # one point
+
+
+@pytest.mark.parametrize("rows", [1024, 10_000])
+def test_lift_section_basis_bitwise(rows):
+    # the (3, 18) basis of verify's lift section, at the row block that
+    # check_consistency lifts at once and at the section's whole sample
+    rng = np.random.default_rng(7)
+    pair = build_hard_pair(HardPairConfig(**LIFT_CONFIG))
+    v = random_unit_vector(3, rng)
+    instance = make_instance(pair, v, 0.3)
+    basis = lift.enumerate_basis(3, len(instance.J2_polynomial) - 1)
+    assert (basis.m, basis.degree, len(basis)) == (3, 18, 1330)
+    x, _ = sample_labeled(instance, rng, rows)
+    _assert_bitwise(basis, v, instance.J2_polynomial, x, len(basis) + 8)
