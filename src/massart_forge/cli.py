@@ -52,13 +52,14 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
 # work, so bad input exits 2 naming the flag and writes nothing; the coupled
 # constraints delta < 1 and epsilon < delta/8 stay with HardPairConfig
 _FLOORS = {"--m": 1, "--n": 1, "--seeds": 1, "--seed": 0, "--grid": 2, "--d": 2}
+LOG_M_MAX = math.sqrt(sys.float_info.max)  # plan squares log M
 _INTERVALS = {
     "--k": (f"[1, {K_MAX}]", lambda v: 1 <= v <= K_MAX),
     "--tau": ("(0, 1)", lambda v: 0.0 < v < 1.0),
     "--eta": ("(0, 1/2]", lambda v: 0.0 < v <= 0.5),
     "--zeta": ("(0, 1/2)", lambda v: 0.0 < v < 0.5),
     "--epsilon": ("(0, inf)", lambda v: v > 0.0),
-    "--log-M": ("(e, inf)", lambda v: math.e < v < math.inf),
+    "--log-M": (f"(e, {LOG_M_MAX!r}]", lambda v: math.e < v <= LOG_M_MAX),
     "--zeta-exp": ("(0, 1)", lambda v: 0.0 < v < 1.0),
     "--lo": ("(-inf, inf)", math.isfinite),
     "--hi": ("(-inf, inf)", math.isfinite),

@@ -4,15 +4,59 @@ baseline SQ learners, and the distinguishing experiment.
 The oracle answers expectations of bounded functions to accuracy tau.  A
 query carries r bounded statistics over one set of direction rows, evaluated
 as an (r, n) block with one row per statistic, and each statistic counts as
-one query.  Honest mode answers a non-adaptive batch of q statistics from
-one shared sample of ceil((C + 2 ln q)/tau^2) rows; Hoeffding and a union
-bound keep all q answers within tau except with probability <= 2e^(-C/2)
-(6.7e-4 at C = 16), and q = 1 gives ceil(C/tau^2).  Adversarial mode
-answers each statistic's true expectation (closed form where the query has
-one, otherwise one honest batch at tau/4 for all such statistics) plus a
-deterministic perturbation of at most tau, less the tau/4 when the batch
-supplied the truth; the adversary rounds toward the null distribution's
-value, the least informative answer.
+one query.  Adversarial mode answers each statistic's true expectation
+(closed form where the query has one, otherwise one honest batch at tau/4
+for all such statistics) plus a deterministic perturbation of at most tau,
+less the tau/4 when the batch supplied the truth; the adversary rounds
+toward the null distribution's value, the least informative answer.
+
+Honest batches.  A non-adaptive batch of q statistics X_i with values in
+[-1, 1], answered at accuracy tau, has every answer within tau of its E X_i
+except with probability at most 2e^(-C/2) (6.7e-4 at C = 16).  Each
+statistic may fail with probability delta = 2e^(-C/2)/q, and a union bound
+over the q statistics gives the total.  Each sample below is fresh: no row
+serves two stages.
+
+* Statistics that ignore x (no direction rows, such as E[y]) are means of
+  n_H = ceil((C + 2 ln q)/tau^2) labels, drawn without x.  Hoeffding for a
+  range of width 2 gives P(|mean - E X_i| > tau) <= 2 exp(-n_H tau^2/2)
+  <= delta.
+* The x-dependent statistics split delta into delta_p = delta_m = delta/2 =
+  e^(-C/2)/q between two samples, each shared by all of them.
+  1. Pilot: n0 = max(2, ceil(n_cap/PILOT_SHARE)) rows, with n_cap from
+     step 2, give each statistic's unbiased sample variance V_i.  By Maurer
+     & Pontil (2009, "Empirical Bernstein bounds and sample variance
+     penalization", Thm. 10) for n0 i.i.d. variables in [0, 1], rescaled to
+     [-1, 1], which doubles every standard deviation, the true standard
+     deviation sigma_i exceeds
+         s_i = sqrt(V_i) + 2 sqrt(2 ln(1/delta_p)/(n0 - 1))
+             = sqrt(V_i) + 2 sqrt((C + 2 ln q)/(n0 - 1))
+     with probability at most delta_p.
+  2. Main: N = min(n_cap, max_i ceil(ln(2/delta_m)(2 s_i^2 + 4 tau/3)/tau^2))
+     rows, where ln(2/delta_m) = C/2 + ln(2q) and
+     n_cap = ceil((C + 2 ln(2q))/tau^2), and every x-dependent answer is
+     the mean of all N rows.  Given the pilot, N is fixed.  Bernstein's
+     inequality, for |X_i - E X_i| <= b = 2 and variance sigma_i^2, bounds
+         P(|mean_N - E X_i| >= tau) <= 2 exp(-N tau^2/(2 sigma_i^2 + 2 b tau/3)),
+     which is at most delta_m when N >= ln(2/delta_m)(2 sigma_i^2
+     + 4 tau/3)/tau^2; that holds below the cap whenever sigma_i <= s_i,
+     since the size grows with the standard deviation and N is the largest
+     over the batch.  At the cap, Hoeffding gives
+     2 exp(-n_cap tau^2/2) <= delta_m whatever the variance.
+  So P(X_i misses) <= P(sigma_i > s_i) + P(X_i misses and sigma_i <= s_i)
+  <= delta_p + delta_m = delta.
+* Rounding: the pilot keeps S1 = sum x and S2 = sum x^2 per statistic and
+  computes V_i = (S2 - S1^2/n0)/(n0 - 1).  Each sum has at most n0 terms of
+  magnitude at most 1, so it is within gamma_n0 n0 of exact in any order
+  (Higham 2002, eq. (4.4)); with one rounding of relative size u = 2^-53 in
+  each remaining operation, the computed V_i is within 11 n0 u of the exact
+  one while n0 u <= 0.01.  s_i adds 16 n0 u to V_i before the square root,
+  so rounding cannot take it below the bound the theorem needs.
+
+The experiment's statistics have standard deviations of about 0.04 to 0.46,
+far below the worst case of 1 that Hoeffding's range-based size pays for.
+At its tau = 0.01 the slack term is about 0.08, and pilot shares from 16 to
+32 of the cap drew within 2 % of the fewest pilot-plus-main rows.
 """
 
 from __future__ import annotations
@@ -56,9 +100,12 @@ __all__ = [
 ]
 
 C = 16.0  # honest sizing constant: per-batch failure probability <= 2e^(-C/2)
-CLIP_RADIUS = 6.0  # moment queries clip the projection at 6 sigma; the
-# clipped-tail bias (< 1e-6 for degree <= 4) is folded into the oracle's
-# tau guarantee.
+PILOT_SHARE = 16  # an x-dependent pilot draws ceil(n_cap/16) rows
+# moment and Chow queries clip each projection at CLIP_RADIUS = 6 sigma.  The
+# oracle's tau guarantee is about the clipped statistic it evaluates; the
+# closed forms in projected_moment_query.exact are unclipped moments, and no
+# bound on the clipped-tail bias between the two is proven or checked yet.
+CLIP_RADIUS = 6.0
 _NO_DIRECTIONS = np.empty((0, 0))  # rows of a query that ignores x
 # the experiment's probes: N_PROBES directions, each moment order per probe,
 # drawn with the hidden direction at pairwise |<u, v>| <= DIRECTION_C
@@ -100,10 +147,12 @@ class SQQuery:
 class OracleConfig:
     """Accuracy tau and answering mode.
 
-    An honest batch of q queries (statistics) draws ceil((C + 2 ln q)/tau^2)
-    shared rows at C = 16, enough for all q answers to lie within tau except
-    with probability <= 2e^(-C/2); q = 1 gives ceil(C/tau^2).  ``query_budget``
-    caps the total number of statistics one oracle answers.
+    An honest batch of q statistics has all q answers within tau except
+    with probability <= 2e^(-C/2), at C = 16.  Labels-only statistics read
+    ceil((C + 2 ln q)/tau^2) labels; the others read a pilot sample that
+    bounds their standard deviations, then a main sample sized by Bernstein
+    from those bounds (the module docstring has the sizes and the proof).
+    ``query_budget`` caps the total number of statistics one oracle answers.
     """
 
     tau: float
@@ -116,8 +165,33 @@ class OracleConfig:
         if self.mode not in ("honest", "adversarial"):
             raise RangeError(f"unknown oracle mode {self.mode!r}")
 
-    def samples_per_batch(self, q: int) -> int:
-        return math.ceil((C + 2.0 * math.log(q)) / self.tau**2)
+
+def _hoeffding_rows(tau: float, q: int) -> int:
+    """ceil((C + 2 ln q)/tau^2): rows that keep the mean of a statistic in
+    [-1, 1] within tau except with probability 2e^(-C/2)/q."""
+    return math.ceil((C + 2.0 * math.log(q)) / tau**2)
+
+
+def _pilot_rows(tau: float, q: int) -> int:
+    """n0, the pilot's rows for a batch of q statistics."""
+    return max(2, math.ceil(_hoeffding_rows(tau, 2 * q) / PILOT_SHARE))
+
+
+def _sigma_bound(sums: np.ndarray, n0: int, q: int) -> float:
+    """The largest s_i over a pilot's per-statistic sums (row 0) and sums of
+    squares (row 1): each sigma_i <= s_i except with probability e^(-C/2)/q."""
+    s1, s2 = sums
+    variance = float(np.max((s2 - s1 * s1 / n0) / (n0 - 1)))
+    rounding = n0 * 2.0**-49  # 16 n0 u
+    slack = 2.0 * math.sqrt((C + 2.0 * math.log(q)) / (n0 - 1))
+    return math.sqrt(max(variance, 0.0) + rounding) + slack
+
+
+def _main_rows(tau: float, q: int, sigma: float) -> int:
+    """N: Bernstein's rows for statistics of standard deviation <= sigma at
+    failure e^(-C/2)/q each, capped at Hoeffding's rows for that failure."""
+    bernstein = (C / 2.0 + math.log(2 * q)) * (2.0 * sigma**2 + 4.0 * tau / 3.0) / tau**2
+    return min(_hoeffding_rows(tau, 2 * q), math.ceil(bernstein))
 
 
 class NullDistribution:
@@ -140,12 +214,13 @@ class NullDistribution:
         """Joint law of (<u_j, x>)_j and y without materialising x: labels,
         then the hidden projection t, then one (n, k) normal block for the
         Gaussian part, whose covariance is U U^T - (U v)(U v)^T (U U^T for
-        the null); <u, x> = t <u, v> + that part."""
+        the null); <u, x> = t <u, v> + that part.  With no directions only
+        the labels are drawn."""
         y = draw_labels(rng, n, self.p)
-        t = None if self.v is None else self._hidden(rng, y)
         k = len(directions)
         if k == 0:
             return np.empty((n, 0)), y
+        t = None if self.v is None else self._hidden(rng, y)
         out = rng.standard_normal((n, k)) @ self._root(directions).T
         if t is not None:
             out += np.multiply.outer(t, directions @ self.v)  # one (n, k) buffer
@@ -251,7 +326,7 @@ class SQOracle:
         if not q:
             return []
         if self.config.mode == "honest":
-            return self._empirical_means(queries, self.config.samples_per_batch(q))
+            return self._empirical_means(queries, self.config.tau)
         return self._adversarial_answers(queries)
 
     def _adversarial_answers(self, queries: list[SQQuery]) -> list[float]:
@@ -261,9 +336,7 @@ class SQOracle:
         if missing:
             # one honest batch at tau/4 certifies every missing statistic
             # together; that tau/4 comes out of the adversary's budget
-            q = sum(len(query.descriptions) for query in missing)
-            n = replace(self.config, tau=tau / 4.0).samples_per_batch(q)
-            certified = iter(self._empirical_means(missing, n))
+            certified = iter(self._empirical_means(missing, tau / 4.0))
         answers = []
         for query, true in zip(queries, truths):
             budget = tau
@@ -276,8 +349,32 @@ class SQOracle:
             answers += [_round_toward(t, nv, budget) for t, nv in zip(true, null_vals)]
         return answers
 
-    def _empirical_means(self, queries: list[SQQuery], n: int) -> list[float]:
-        """Mean of every statistic over one shared sample of n rows.
+    def _empirical_means(self, queries: list[SQQuery], tau: float) -> list[float]:
+        """Every statistic's answer at accuracy tau, in order: labels-only
+        statistics from one Hoeffding-sized sample of labels, the others
+        from one main sample sized by their pilot's standard-deviation
+        bounds (the module docstring proves the sizes)."""
+        q = sum(len(query.descriptions) for query in queries)
+        labels = [query for query in queries if not len(query.directions)]
+        features = [query for query in queries if len(query.directions)]
+        label_means = feature_means = iter(())
+        if labels:
+            n = _hoeffding_rows(tau, q)
+            label_means = iter((self._sums(labels, n)[0] / n).tolist())
+        if features:
+            n0 = _pilot_rows(tau, q)
+            sigma = _sigma_bound(self._sums(features, n0, squares=True), n0, q)
+            n = _main_rows(tau, q, sigma)
+            feature_means = iter((self._sums(features, n)[0] / n).tolist())
+        return [
+            next(feature_means if len(query.directions) else label_means)
+            for query in queries
+            for _ in query.descriptions
+        ]
+
+    def _sums(self, queries: list[SQQuery], n: int, squares: bool = False) -> np.ndarray:
+        """Each statistic's sum over n fresh rows (row 0) and, with
+        ``squares``, its sum of squares (row 1).
 
         The queries' direction rows are stacked in order and sampled
         together in chunks small enough that no sampled or evaluated block
@@ -288,7 +385,7 @@ class SQOracle:
         directions = np.vstack(stacked) if stacked else _NO_DIRECTIONS
         widths = [len(query.descriptions) for query in queries]
         rows_per_chunk = (1 << 19) // max(len(directions), *widths)
-        totals = np.zeros(sum(widths))
+        sums = np.zeros((1 + squares, sum(widths)))
         remaining = n
         while remaining > 0:
             chunk = min(remaining, rows_per_chunk)
@@ -297,10 +394,13 @@ class SQOracle:
             for query, r in zip(queries, widths):
                 k = len(query.directions)
                 block = query.evaluate(t[:, row : row + k], y).reshape(-1, chunk)
-                totals[col : col + r] += np.ascontiguousarray(block).sum(axis=1)
+                block = np.ascontiguousarray(block)
+                sums[0, col : col + r] += block.sum(axis=1)
+                if squares:  # block is this call's own array
+                    sums[1, col : col + r] += np.square(block, out=block).sum(axis=1)
                 row, col = row + k, col + r
             remaining -= chunk
-        return (totals / n).tolist()
+        return sums
 
 
 # ---------------------------------------------------------------- queries
@@ -377,11 +477,14 @@ def projected_indicator_query(u: np.ndarray, region: IntervalUnion) -> SQQuery:
 
 
 def chow_moment_query(m: int) -> SQQuery:
-    """The degree-<=2 Chow parameters as one query over identity directions.
+    """The degree-1 and degree-2 Chow parameters as one query over identity
+    directions.
 
-    Statistics are E[y], E[y c_i] and E[y c_i c_j] for i <= j (row-major
-    upper triangle), with c = clip(x, -R, R)/R: 1 + m + m(m+1)/2 in all.
-    Row y c_i c_j is computed as (y c_i) c_j, in place.
+    Statistics are E[y c_i] and E[y c_i c_j] for i <= j (row-major upper
+    triangle), with c = clip(x, -R, R)/R: m + m(m+1)/2 in all.  Row
+    y c_i c_j is computed as (y c_i) c_j, in place.  The degree-0 parameter
+    E[y] reads no x; ``learner_chow`` asks it as ``label_mean_query`` in the
+    same batch, so that the oracle draws it as labels only.
     """
     upper_i, upper_j = np.triu_indices(m)
 
@@ -389,20 +492,18 @@ def chow_moment_query(m: int) -> SQQuery:
         c = t.T.copy()  # one contiguous row per coordinate
         np.clip(c, -CLIP_RADIUS, CLIP_RADIUS, out=c)
         c /= CLIP_RADIUS
-        out = np.empty((1 + m + len(upper_i), len(y)))
-        out[0] = y
-        np.multiply(y, c, out=out[1 : m + 1])
-        row = m + 1
+        out = np.empty((m + len(upper_i), len(y)))
+        np.multiply(y, c, out=out[:m])
+        row = m
         for i in range(m):
-            np.multiply(out[1 + i], c[i:], out=out[row : row + m - i])
+            np.multiply(out[i], c[i:], out=out[row : row + m - i])
             row += m - i
         return out
 
     return SQQuery(
         np.eye(m),
         g,
-        ("y",)
-        + tuple(f"y*c_{i + 1}" for i in range(m))
+        tuple(f"y*c_{i + 1}" for i in range(m))
         + tuple(f"y*c_{i + 1}*c_{j + 1}" for i, j in zip(upper_i, upper_j)),
     )
 
@@ -498,17 +599,21 @@ def learner_chow(oracle: SQOracle) -> Hypothesis:
     f(x) = c_0 + C . c_1 + C^T Q C, C = clip(x, -R, R)/R, Q upper-triangular.
 
     All interaction with the data goes through the oracle, in two
-    non-adaptive queries: ``chow_moment_query``, then one misclassification
-    statistic per threshold candidate; an honest oracle answers all q
-    statistics of each within tau except with probability <= 2e^(-C/2).  Candidates
-    sweep the functional's guaranteed range [-sum|c|, sum|c|], whose
-    extremes recover the constant hypotheses, so the learner never does
-    worse than the better constant by more than query accuracy.  The
-    threshold query reads all of x through identity directions, so the
-    same f_values serves it and the final predictor.
+    non-adaptive batches: ``label_mean_query`` with ``chow_moment_query``
+    (c_0 = E[y], then the 230 x-dependent coefficients at m = 20), then one
+    misclassification statistic per threshold candidate; an honest oracle
+    answers all q statistics of each within tau except with probability
+    <= 2e^(-C/2).  E[y] is the only coefficient with a large variance
+    (about 0.84 on the planted law, against at most 0.03 for the others);
+    asked without x, it costs labels only and leaves the pilot's bound on
+    the others small.  Candidates sweep the functional's guaranteed range
+    [-sum|c|, sum|c|], whose extremes recover the constant hypotheses, so
+    the learner never does worse than the better constant by more than
+    query accuracy.  The threshold query reads all of x through identity
+    directions, so the same f_values serves it and the final predictor.
     """
     m = oracle.distribution.m
-    coeffs = np.array(oracle.answer_batch([chow_moment_query(m)]))
+    coeffs = np.array(oracle.answer_batch([label_mean_query(), chow_moment_query(m)]))
     scale = float(np.sum(np.abs(coeffs))) + 1e-12  # |f(x)| <= scale pointwise
     linear = coeffs[1 : m + 1]
     quadratic = np.zeros((m, m))

@@ -293,6 +293,9 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
         (["emit-density", "--lo=-inf"], "--lo"),
         (["emit-density", "--hi=inf"], "--hi"),
         (["emit-density", "--lo=-1e308", "--hi=1e308"], "--lo"),
+        # plan squares log M, which overflows past sqrt(largest float)
+        (["plan", "--log-M", "1.7e308", "--zeta", "0.1", "--eta", "0.49"], "--log-M"),
+        (["plan", "--log-M", "1.35e154", "--zeta-exp", "1e-300", "--eta", "0.49"], "--log-M"),
     ],
 )
 def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):
@@ -342,7 +345,11 @@ _OUT_OF_RANGE = {
     "--d": st.integers(max_value=1),
     "--zeta": st.one_of(st.floats(max_value=0.0), st.floats(min_value=0.5), st.just(math.nan)),
     "--epsilon": st.one_of(st.floats(max_value=0.0), st.just(math.nan)),
-    "--log-M": st.one_of(st.floats(max_value=math.e), st.just(math.inf), st.just(math.nan)),
+    "--log-M": st.one_of(
+        st.floats(max_value=math.e),
+        st.floats(min_value=cli.LOG_M_MAX, exclude_min=True),
+        st.just(math.nan),
+    ),
     "--zeta-exp": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)),
     "--lo": st.sampled_from([-math.inf, math.inf, math.nan]),
     "--hi": st.sampled_from([-math.inf, math.inf, math.nan]),

@@ -6,8 +6,8 @@ import pytest
 
 from massart_forge import hardpair, moments, sqlab
 from massart_forge.errors import DirectionSetError, QueryBudgetError, RangeError
-from massart_forge.hardpair import HardPairConfig, build_hard_pair
-from massart_forge.instance import make_instance, ptf_sign, sample_labeled
+from massart_forge.hardpair import HardPairConfig, IntervalUnion, build_hard_pair, phi_mass
+from massart_forge.instance import draw_labels, make_instance, ptf_sign, sample_labeled
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +60,40 @@ def test_batch_budget_refused_before_drawing(rng):
 
 
 def test_batch_sample_size():
-    config = sqlab.OracleConfig(tau=0.01)
-    assert config.samples_per_batch(1) == math.ceil(16.0 / 0.01**2) == 160_000
-    assert [config.samples_per_batch(q) for q in (9, 42, 231)] == [203_945, 234_754, 268_849]
+    # labels-only statistics: Hoeffding at failure 2e^(-C/2)/q each
+    assert sqlab._hoeffding_rows(0.01, 1) == math.ceil(16.0 / 0.01**2) == 160_000
+    assert [sqlab._hoeffding_rows(0.01, q) for q in (9, 42, 231)] == [203_945, 234_754, 268_849]
+    # x-dependent statistics: the cap is Hoeffding at half that failure, and
+    # the pilot draws 1/16 of the cap
+    caps = [sqlab._hoeffding_rows(0.01, 2 * q) for q in (9, 42, 231)]
+    assert caps == [217_808, 248_617, 282_712]
+    assert [sqlab._pilot_rows(0.01, q) for q in (9, 42, 231)] == [13_613, 15_539, 17_670]
+    assert sqlab._pilot_rows(0.9, 1) == 2  # never fewer than a sample variance needs
+    # Bernstein at failure e^(-C/2)/q: the range term alone at sigma = 0, the
+    # cap wherever Bernstein needs more, the experiment's indicators between
+    assert sqlab._main_rows(0.01, 42, 0.0) == 1_658
+    assert sqlab._main_rows(0.01, 42, 0.3) == 24_033
+    assert sqlab._main_rows(0.01, 42, 1.0) == 248_617
+    for q in (1, 9, 42, 231):
+        for sigma in (0.0, 0.05, 0.3, 0.6):
+            n = sqlab._main_rows(0.01, q, sigma)
+
+            def bernstein(rows):
+                return 2.0 * math.exp(-rows * 0.01**2 / (2.0 * sigma**2 + 4.0 * 0.01 / 3.0))
+
+            assert bernstein(n) <= math.exp(-8.0) / q < bernstein(n - 1)  # the fewest rows
+
+
+def test_sigma_bound_is_the_pilot_ucb():
+    # s = sqrt(V + 16 n0 u) + 2 sqrt((C + 2 ln q)/(n0 - 1)), the largest over
+    # the statistics, with V the unbiased sample variance
+    values = np.array([[1.0, -1.0, 1.0, 1.0], [0.5, 0.5, 0.5, 0.5]])
+    sums = np.stack([values.sum(axis=1), (values**2).sum(axis=1)])
+    slack = 2.0 * math.sqrt((16.0 + 2.0 * math.log(3)) / 3.0)
+    want = math.sqrt(float(np.var(values[0], ddof=1)) + 4 * 2.0**-49) + slack
+    assert sqlab._sigma_bound(sums, 4, 3) == pytest.approx(want, rel=1e-15)
+    # a constant column has V = 0 and keeps its rounding margin and slack
+    assert sqlab._sigma_bound(sums[:, 1:], 4, 3) == math.sqrt(4 * 2.0**-49) + slack
 
 
 def _per_query_reference(dist, rng, query, n, rows_per_chunk=1 << 19):
@@ -74,6 +105,37 @@ def _per_query_reference(dist, rng, query, n, rows_per_chunk=1 << 19):
         total += float(np.sum(query.evaluate(t, y)))
         remaining -= chunk
     return total / n
+
+
+def _column_sums(dist, rng, directions, columns, n, rows_per_chunk):
+    """Each column's sum and sum of squares over n fresh rows drawn in
+    chunks; ``columns(t, y)`` yields one length-chunk vector per statistic,
+    clipped and summed alone by np.sum."""
+    sums, remaining = 0.0, n
+    while remaining > 0:
+        chunk = min(remaining, rows_per_chunk)
+        t, y = dist.sample_projected(rng, chunk, directions)
+        vectors = [np.clip(vector, -1.0, 1.0) for vector in columns(t, y)]
+        sums = sums + np.array([[np.sum(v) for v in vectors], [np.sum(v * v) for v in vectors]])
+        remaining -= chunk
+    return sums
+
+
+def _two_stage_reference(dist, rng, directions, columns, q, tau, rows_per_chunk):
+    """The honest rule for x-dependent statistics, restated column by
+    column: a pilot of n0 rows bounds every standard deviation, then all
+    columns are means over N fresh rows.  Returns (means, n0, N)."""
+    cap = math.ceil((sqlab.C + 2.0 * math.log(2 * q)) / tau**2)
+    n0 = max(2, math.ceil(cap / 16))
+    s1, s2 = _column_sums(dist, rng, directions, columns, n0, rows_per_chunk)
+    variance = max((s2 - s1 * s1 / n0) / (n0 - 1))
+    sigma = math.sqrt(max(variance, 0.0) + 16 * n0 * 2.0**-53) + 2.0 * math.sqrt(
+        (sqlab.C + 2.0 * math.log(q)) / (n0 - 1)
+    )
+    bernstein = (sqlab.C / 2.0 + math.log(2 * q)) * (2.0 * sigma**2 + 4.0 * tau / 3.0) / tau**2
+    n = min(cap, math.ceil(bernstein))
+    s1, _ = _column_sums(dist, rng, directions, columns, n, rows_per_chunk)
+    return (s1 / n).tolist(), n0, n
 
 
 def test_single_query_is_a_batch_of_one(planted):
@@ -90,9 +152,14 @@ def test_single_query_is_a_batch_of_one(planted):
     for query in queries:
         one = sqlab.SQOracle(dist, config, np.random.default_rng(3)).answer(query)
         batch = sqlab.SQOracle(dist, config, np.random.default_rng(3)).answer_batch([query])
-        reference = _per_query_reference(
-            dist, np.random.default_rng(3), query, config.samples_per_batch(1)
-        )
+        if len(query.directions):
+            [reference], n0, n = _two_stage_reference(
+                dist, np.random.default_rng(3), query.directions,
+                lambda t, y: [query.evaluate(t, y)], 1, config.tau, 1 << 19,
+            )
+            assert n0 + n < 160_000  # Hoeffding's rows for one statistic
+        else:
+            reference = _per_query_reference(dist, np.random.default_rng(3), query, 160_000)
         assert one == batch[0] == reference, query.descriptions
 
 
@@ -130,31 +197,47 @@ def test_mixed_batch_agrees_with_per_query(planted):
                 assert abs(answer - want) <= tau, description
 
 
+def _project(x, directions):
+    """x onto the rows of directions; a labels-only query has no rows."""
+    return x @ directions.T if len(directions) else np.empty((len(x), 0))
+
+
 class _FullGaussian:
     """Gaussian x, y = sign(x_1); projections computed from the full draw."""
 
     def __init__(self, m: int):
         self.m = m
+        self.p = 0.5
 
     def sample_projected(self, rng, n, directions):
         x = rng.standard_normal((n, self.m))
-        return x @ directions.T, np.where(x[:, 0] >= 0.0, 1, -1)
+        return _project(x, directions), np.where(x[:, 0] >= 0.0, 1, -1)
 
 
 def test_batch_columns_map_to_their_directions(planted):
     # on one shared draw of x, every query of a batch sees exactly its own
-    # projections, whatever rows it shares with the others
+    # projections, whatever rows it shares with the others: the labels-only
+    # query its own draw of n_H rows, the rest the main draw after the pilot
     pair, instance, directions = planted
-    dist = _FullGaussian(instance.m)
+    dist = _Recording(_FullGaussian(instance.m))
     config = sqlab.OracleConfig(tau=0.05)
     queries = _mixed_batch(pair, instance, directions)
-    n = config.samples_per_batch(sum(len(query.descriptions) for query in queries))
+    q = sum(len(query.descriptions) for query in queries)
     answers = sqlab.SQOracle(dist, config, np.random.default_rng(5)).answer_batch(queries)
-    x = np.random.default_rng(5).standard_normal((n, instance.m))
-    y = np.where(x[:, 0] >= 0.0, 1, -1)
+    rng = np.random.default_rng(5)
+    draws = [rng.standard_normal((rows, instance.m)) for rows, _ in dist.blocks]
+    k = sum(len(query.directions) for query in queries)
+    assert [cols for _, cols in dist.blocks] == [0] + [k] * (len(draws) - 1)
+    n_labels, n0 = sqlab._hoeffding_rows(0.05, q), sqlab._pilot_rows(0.05, q)
+    assert dist.blocks[0][0] == n_labels
+    pilot_chunks = int(np.searchsorted(np.cumsum([rows for rows, _ in dist.blocks[1:]]), n0)) + 1
+    assert sum(rows for rows, _ in dist.blocks[1 : 1 + pilot_chunks]) == n0
+    main = np.vstack(draws[1 + pilot_chunks :])
+    assert 0 < len(main) <= sqlab._hoeffding_rows(0.05, 2 * q)
     for query, got in zip(queries, _per_query(queries, answers)):
-        t = x @ query.directions.T if len(query.directions) else np.empty((n, 0))
-        want = query.evaluate(t, y).reshape(-1, n).mean(axis=1)
+        x = main if len(query.directions) else draws[0]
+        t = _project(x, query.directions)
+        want = query.evaluate(t, np.where(x[:, 0] >= 0.0, 1, -1)).reshape(-1, len(x)).mean(axis=1)
         assert got == pytest.approx(want.tolist(), abs=1e-12), query.descriptions
 
 
@@ -198,14 +281,24 @@ def test_wide_query_costs_one_query_per_column(rng):
     config = sqlab.OracleConfig(tau=0.05, query_budget=7)
     oracle = sqlab.SQOracle(null, config, rng)
     wide = sqlab.projected_moment_query(np.array([1.0, 0.0, 0.0]), 1, 2, 3, 4)
-    assert len(oracle.answer_batch([wide])) == 4
+    state = rng.bit_generator.state
+    got = oracle.answer_batch([wide])
+    assert len(got) == 4
     assert oracle.queries_used == 4
-    assert sum(rows for rows, _ in null.blocks) == config.samples_per_batch(4)
+    replay = np.random.default_rng()
+    replay.bit_generator.state = state
+    answers, n0, n = _two_stage_reference(
+        sqlab.NullDistribution(m=3, p=0.6), replay, wide.directions,
+        lambda t, y: wide.evaluate(t, y), 4, config.tau, (1 << 19) // 4,
+    )
+    assert n0 == sqlab._pilot_rows(config.tau, 4) > sqlab._pilot_rows(config.tau, 1)
+    assert sum(rows for rows, _ in null.blocks) == n0 + n
+    assert got == answers
     state = rng.bit_generator.state
     with pytest.raises(QueryBudgetError):
         oracle.answer_batch([wide])  # 4 columns, 3 left
     assert rng.bit_generator.state == state
-    assert oracle.queries_used == 4 and len(null.blocks) == 1
+    assert oracle.queries_used == 4 and len(null.blocks) == 2  # pilot and main
     narrow = sqlab.projected_moment_query(np.array([0.0, 1.0, 0.0]), 1, 2)
     assert len(oracle.answer_batch([narrow, sqlab.label_mean_query()])) == 3
     assert oracle.queries_used == 7
@@ -228,7 +321,93 @@ def test_no_block_exceeds_2_19_values(planted, monkeypatch):
     sqlab.learner_chow(oracle)
     assert max(rows * k for rows, k in dist.blocks) <= 1 << 19
     assert max(evaluated) <= 1 << 19
-    assert max(evaluated) > 1 << 18  # the 231-column block fills a chunk
+    assert max(evaluated) > 1 << 18  # the 230-column block fills a chunk
+
+
+class _Uncertified(_Recording):
+    """A recording distribution without closed forms: an adversarial oracle
+    certifies every statistic on it."""
+
+    def true_expectation(self, query):
+        return None
+
+
+def _binomial_upper(n: int, p: float, level: float = 1e-3) -> int:
+    """The least k with P(Bin(n, p) > k) <= level."""
+    tail, k = 1.0, -1
+    while tail > level:
+        k += 1
+        tail -= math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+    return k
+
+
+def test_honest_batches_cover_at_the_stated_rate(monkeypatch):
+    # at C = 4 a batch may miss tau with probability 2e^(-2) ~ 0.27, and its
+    # pilot may bound the largest standard deviation too low with probability
+    # e^(-2), which shows as a main sample smaller than the true variances
+    # need; both counts over 200 honest batches at tau and 200 adversarial
+    # batches, certified at tau/4, stay within the binomial tails of the bounds
+    monkeypatch.setattr(sqlab, "C", 4.0)
+    null = sqlab.NullDistribution(m=2, p=0.7)
+    u, w = np.array([1.0, 0.0]), np.array([0.6, 0.8])
+    rare = IntervalUnion(((2.6, 40.0),))  # mass 4.7e-3: most 54-row pilots see none
+    common = IntervalUnion(((-0.5, 0.5),))
+
+    def signed(direction, region):
+        mass = float(phi_mass(*region.intervals[0]))
+        return sqlab.SQQuery(
+            direction[None, :],
+            lambda t, y: y * region.contains(t[:, 0]).astype(float),
+            ("y*1[<u,x> in region]",),
+            exact=lambda dist: ((2.0 * dist.p - 1.0) * mass,),
+        )
+
+    queries = [
+        sqlab.label_mean_query(),
+        sqlab.projected_indicator_query(u, rare),
+        sqlab.projected_indicator_query(w, common),
+        signed(w, common),
+        signed(u, rare),
+    ]
+    truths = [value for query in queries for [value] in [null.true_expectation(query)]]
+    masses = [float(phi_mass(*region.intervals[0])) for region in (rare, common)]
+    sigma = max(  # the largest standard deviation among the x-dependent statistics
+        *(math.sqrt(mass * (1.0 - mass)) for mass in masses),
+        *(math.sqrt(mass - (0.4 * mass) ** 2) for mass in masses),
+    )
+    tau, q, batches = 0.1, len(queries), 200
+    for mode, batch_tau in (("honest", tau), ("adversarial", tau / 4.0)):
+        dist = _Uncertified(null)
+        config = sqlab.OracleConfig(tau=tau, mode=mode)
+        oracle = sqlab.SQOracle(
+            dist, config, np.random.default_rng(2026),
+            null_reference=sqlab.NullDistribution(m=2, p=0.5),
+        )
+        misses = short = 0
+        for _ in range(batches):
+            dist.blocks.clear()
+            answers = oracle.answer_batch(queries)
+            misses += any(abs(a - t) > tau for a, t in zip(answers, truths))
+            main = sum(rows for rows, k in dist.blocks if k) - sqlab._pilot_rows(batch_tau, q)
+            short += main < sqlab._main_rows(batch_tau, q, sigma)
+        assert misses <= _binomial_upper(batches, 2.0 * math.exp(-2.0)), mode
+        assert short <= _binomial_upper(batches, math.exp(-2.0)), mode
+
+
+@pytest.mark.parametrize("law", ["planted", "null"])
+def test_labels_only_draw_reads_no_hidden_projection(planted, law):
+    # with no direction rows the sampler draws the labels and nothing else,
+    # so the generator ends where draw_labels alone leaves it
+    _, instance, _ = planted
+    if law == "planted":
+        dist = sqlab.InstanceDistribution(instance)
+    else:
+        dist = sqlab.NullDistribution(instance.m, instance.p)
+    rng, alone = np.random.default_rng(13), np.random.default_rng(13)
+    t, y = dist.sample_projected(rng, 5_000, sqlab.label_mean_query().directions)
+    assert t.shape == (5_000, 0)
+    assert np.array_equal(y, draw_labels(alone, 5_000, instance.p))
+    assert rng.bit_generator.state == alone.bit_generator.state
 
 
 def test_moment_orders_are_one_order_queries_on_one_sample(planted):
@@ -239,15 +418,13 @@ def test_moment_orders_are_one_order_queries_on_one_sample(planted):
     config = sqlab.OracleConfig(tau=0.01)
     query = sqlab.projected_moment_query(directions[0], 1, 2)
     both = sqlab.SQOracle(dist, config, np.random.default_rng(9)).answer_batch([query])
-    n = config.samples_per_batch(2)
-    alone = [
-        _per_query_reference(
-            dist, np.random.default_rng(9), sqlab.projected_moment_query(directions[0], j), n,
-            rows_per_chunk=(1 << 19) // 2,
-        )
-        for j in (1, 2)
-    ]
-    assert both == alone
+    alone = [sqlab.projected_moment_query(directions[0], j) for j in (1, 2)]
+    want, n0, n = _two_stage_reference(
+        dist, np.random.default_rng(9), query.directions,
+        lambda t, y: [one.evaluate(t, y) for one in alone], 2, config.tau, (1 << 19) // 2,
+    )
+    assert n0 == sqlab._pilot_rows(config.tau, 2) and n < sqlab._hoeffding_rows(config.tau, 4)
+    assert both == want
 
 
 def test_adversarial_determinism_and_rounding(planted):
@@ -311,11 +488,19 @@ def test_adversarial_truths_share_one_certified_batch(planted):
     oracle = sqlab.SQOracle(dist, config, np.random.default_rng(4), null_reference=null)
     answers = oracle.answer_batch(queries)
     certify = replace(config, mode="honest", tau=config.tau / 4.0)
-    assert sum(rows for rows, _ in dist.blocks) == certify.samples_per_batch(2)
+    reference, n0, n = _two_stage_reference(
+        sqlab.InstanceDistribution(instance), np.random.default_rng(4),
+        np.vstack([query.directions for query in queries]),
+        lambda t, y: [query.evaluate(t[:, j : j + 1], y) for j, query in enumerate(queries)],
+        2, certify.tau, (1 << 19) // 2,
+    )
+    assert n0 == sqlab._pilot_rows(certify.tau, 2) > 10 * sqlab._pilot_rows(config.tau, 2)
+    assert sum(rows for rows, _ in dist.blocks) == n0 + n
     assert {k for _, k in dist.blocks} == {2}  # both rows in every chunk
     truths = sqlab.SQOracle(
         sqlab.InstanceDistribution(instance), certify, np.random.default_rng(4)
     ).answer_batch(queries)
+    assert truths == reference
     budget = config.tau - config.tau / 4.0
     want = []
     for query, truth in zip(queries, truths):
@@ -545,7 +730,7 @@ class _RealizableLinear:
 
     def sample_projected(self, rng, n, directions):
         x, y = self.sample_xy(rng, n)
-        return x @ directions.T, y
+        return _project(x, directions), y
 
 
 def test_chow_columns_are_the_named_monomials(rng):
@@ -555,7 +740,9 @@ def test_chow_columns_are_the_named_monomials(rng):
     y = np.where(rng.random(50) < 0.5, 1, -1)
     c = np.clip(t, -sqlab.CLIP_RADIUS, sqlab.CLIP_RADIUS) / sqlab.CLIP_RADIUS
     block = query.evaluate(t, y)
-    assert block.shape == (1 + m + m * (m + 1) // 2, 50)  # one row per statistic
+    # one row per statistic; E[y] reads no x and is asked apart from them
+    assert block.shape == (m + m * (m + 1) // 2, 50)
+    assert query.descriptions[0] == "y*c_1"
     for row, description in enumerate(query.descriptions):
         want = y.astype(float)
         for factor in description.split("*")[1:]:  # "c_i", 1-based
@@ -586,30 +773,30 @@ def test_chow_batch_is_bitwise_per_column(planted):
     quadratic = np.zeros((m, m))
     quadratic[upper_i, upper_j] = coeffs[m + 1 :]
 
-    def chow_columns(c, y):
-        yield y.astype(float)
+    def chow_columns(t, y):
+        c = np.clip(t, -radius, radius) / radius
         yield from (y * c[:, i] for i in range(m))
         yield from ((y * c[:, i]) * c[:, j] for i, j in zip(upper_i, upper_j))
 
-    def error_columns(c, y):
+    def error_columns(t, y):
+        c = np.clip(t, -radius, radius) / radius
         f = coeffs[0] + c @ linear + ((c @ quadratic) * c).sum(axis=1)
         yield from ((np.where(f - theta >= 0.0, 1, -1) != y) * 1.0 for theta in thetas)
 
+    # E[y] from Hoeffding's rows of labels alone, then the 230 coefficients
+    # that read x, then the 9 errors, each through a pilot and a main sample
     rng = np.random.default_rng(21)
-    for columns, got, rows_per_chunk in [
-        (chow_columns, coeffs, (1 << 19) // 231),
-        (error_columns, errs, (1 << 19) // m),
-    ]:
-        n = config.samples_per_batch(len(got))
-        totals, remaining = np.zeros(len(got)), n
-        while remaining > 0:
-            chunk = min(remaining, rows_per_chunk)
-            t, y = dist.sample_projected(rng, chunk, np.eye(m))
-            c = np.clip(t, -radius, radius) / radius
-            for col, vector in enumerate(columns(c, y)):
-                totals[col] += np.sum(np.clip(vector, -1.0, 1.0))
-            remaining -= chunk
-        assert got == (totals / n).tolist()
+    label_mean = _per_query_reference(
+        dist, rng, sqlab.label_mean_query(), sqlab._hoeffding_rows(config.tau, 231)
+    )
+    chow, _, _ = _two_stage_reference(
+        dist, rng, np.eye(m), chow_columns, 231, config.tau, (1 << 19) // 230
+    )
+    assert coeffs == [label_mean] + chow
+    errors, _, _ = _two_stage_reference(
+        dist, rng, np.eye(m), error_columns, 9, config.tau, (1 << 19) // m
+    )
+    assert errs == errors
 
 
 @pytest.mark.parametrize("law", ["planted", "null"])
@@ -626,7 +813,7 @@ def test_covariance_factor_built_once_per_batch(planted, monkeypatch, law):
     config = sqlab.OracleConfig(tau=0.02)
     oracle = sqlab.SQOracle(dist, config, np.random.default_rng(3))
     query = sqlab.chow_moment_query(instance.m)
-    assert config.samples_per_batch(231) > 2 * ((1 << 19) // 231)  # several chunks
+    assert sqlab._pilot_rows(0.02, 230) > (1 << 19) // 230  # several chunks per sample
     oracle.answer_batch([query])
     assert calls == [(instance.m, instance.m)]
     directions = query.directions.copy()
@@ -644,14 +831,15 @@ def test_learner_chow_realizable(rng):
     dist = _RealizableLinear(4)
     tau = 0.02
     radius = sqlab.CLIP_RADIUS
-    query = sqlab.chow_moment_query(4)
-    assert len(query.descriptions) == 1 + 4 + 10  # every monomial of degree <= 2
+    queries = [sqlab.label_mean_query(), sqlab.chow_moment_query(4)]
+    descriptions = [d for query in queries for d in query.descriptions]
+    assert len(descriptions) == 1 + 4 + 10  # every monomial of degree <= 2
     oracle = sqlab.SQOracle(dist, sqlab.OracleConfig(tau=tau), rng)
-    coeffs = oracle.answer_batch([query])
+    coeffs = oracle.answer_batch(queries)
     abs_clipped = 2.0 * (1.0 - math.exp(-(radius**2) / 2.0)) / math.sqrt(
         2.0 * math.pi
     ) + radius * math.erfc(radius / math.sqrt(2.0))
-    for description, coeff in zip(query.descriptions, coeffs):
+    for description, coeff in zip(descriptions, coeffs):
         want = abs_clipped / radius if description == "y*c_1" else 0.0
         assert abs(coeff - want) <= tau, description
     # end to end, the learner beats the best constant (error 1/2) by far
