@@ -210,18 +210,17 @@ def _gaussian_pdf_dd(x: tuple[float, float]) -> tuple[float, float]:
     return dd_mul(dd_exp(arg), INV_SQRT_TWO_PI)
 
 
-def _comb_moments_dd(
-    delta: float, eps: float, t_max: int, n_max: int | None
-) -> list[tuple[float, float]]:
+def _comb_moments_dd(delta: float, eps: float, t_max: int) -> list[tuple[float, float]]:
     """Comb moments 0..t_max as dd values; odd entries are exact zeros.
 
-    The integrand is evaluated on one (period n = 0..n_max) x (node) grid.
+    The integrand is evaluated on one (period n = 0..n_max) x (node) grid,
+    n_max = ceil(14/delta): the neglected tail weighs below 1e-33 even
+    against x^8, which keeps truncation far under every certificate.
     Both sums keep the order of a per-period, per-node loop, which fixes the
     bits of the result: nodes in order within each period, then periods
     from n = 0 upward.
     """
-    if n_max is None:
-        n_max = math.ceil(14.0 / delta)
+    n_max = math.ceil(14.0 / delta)
     nodes, weights = gauss_legendre_dd(_COMB_NODES)
     xi = (np.array([v[0] for v in nodes]), np.array([v[1] for v in nodes]))
     w = (np.array([v[0] for v in weights]), np.array([v[1] for v in weights]))
@@ -250,23 +249,15 @@ def _comb_moments_dd(
     ]
 
 
-def comb_gaussian_moments(
-    delta: float,
-    eps: float,
-    t_max: int,
-    n_max: int | None = None,
-) -> list[float]:
+def comb_gaussian_moments(delta: float, eps: float, t_max: int) -> list[float]:
     """Moments of the unnormalised comb measure, measured in double-double.
 
     The comb places density (delta/(2*eps)) * G(x) on [n*delta - eps,
-    n*delta + eps] for |n| <= n_max.  Entry t of the result is the measured
-    integral of x^t against the comb.  Odd moments vanish exactly by the
-    comb's symmetry and are returned as exact zeros.
-
-    n_max defaults to ceil(14/delta): the neglected tail weighs below 1e-33
-    even against x^8, which keeps truncation far under every certificate.
+    n*delta + eps] for |n| <= ceil(14/delta).  Entry t of the result is the
+    measured integral of x^t against the comb.  Odd moments vanish exactly
+    by the comb's symmetry and are returned as exact zeros.
     """
-    combs = _comb_moments_dd(delta, eps, t_max, n_max)
+    combs = _comb_moments_dd(delta, eps, t_max)
     return [v[0] + v[1] for v in combs]
 
 
@@ -274,7 +265,6 @@ def comb_moment_discrepancies(
     delta: float,
     eps: float,
     t_max: int,
-    n_max: int | None = None,
     normalized: bool = False,
 ) -> list[float]:
     """|E G^t - comb_t| for t = 0..t_max, measured in double-double.
@@ -282,7 +272,7 @@ def comb_moment_discrepancies(
     With ``normalized`` the comb is divided by its own total mass first,
     i.e. the distances are those of the normalised distribution.
     """
-    combs = _comb_moments_dd(delta, eps, t_max, n_max)
+    combs = _comb_moments_dd(delta, eps, t_max)
     if normalized:
         z = combs[0]
         combs = [dd_div(cv, z) for cv in combs]

@@ -140,15 +140,11 @@ class HardPairConfig:
     zeta: target fraction of mass allowed off J1 (and off J2), in (0, 1/2).
     d: number of positive central periods; J1 and J2 each get 2d+1 intervals.
     epsilon: half-width of each comb interval; must satisfy epsilon < delta/8.
-    n_max: periods retained per side for numerics.  Defaults to
-        ceil(max(12, d*delta + 2)/delta) so the retained comb always covers
-        the central region and the neglected Gaussian tail stays below 1e-20.
     """
 
     zeta: float
     d: int
     epsilon: float
-    n_max: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.zeta < 0.5):
@@ -166,22 +162,18 @@ class HardPairConfig:
                 f"--epsilon = {self.epsilon} not in (0, delta/8 = {delta / 8.0:.6g}), "
                 f"delta = 4*sqrt(log(1/zeta))/d at --zeta {self.zeta}, --d {self.d}"
             )
-        if self.n_max is None:
-            object.__setattr__(
-                self, "n_max", math.ceil(max(12.0, self.d * delta + 2.0) / delta)
-            )
-        if self.n_max * delta < 10.0:
-            raise ConfigValidationError(
-                "n_max*delta >= 10", f"n_max*delta = {self.n_max * delta:.6g}"
-            )
-        if self.n_max <= self.d:
-            raise ConfigValidationError(
-                "n_max > d", f"n_max = {self.n_max} must exceed d = {self.d}"
-            )
 
     @property
     def delta(self) -> float:
         return comb_delta(self.zeta, self.d)
+
+    @property
+    def n_max(self) -> int:
+        """Periods retained per side for numerics, ceil(max(12, d*delta + 2)/delta):
+        the retained comb covers the central region (n_max > d) and the
+        neglected Gaussian tail beyond n_max*delta >= 12 stays below 1e-20."""
+        delta = self.delta
+        return math.ceil(max(12.0, self.d * delta + 2.0) / delta)
 
 
 @dataclass(frozen=True)

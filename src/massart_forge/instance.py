@@ -10,7 +10,6 @@ the support.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ __all__ = [
     "build_interval_polynomial",
     "evaluate_from_roots",
     "draw_labels",
+    "embed",
     "sample_labeled",
     "flip_probability",
     "opt_error",
@@ -102,27 +102,11 @@ def random_unit_vector(m: int, rng: np.random.Generator) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def _householder_vector(v: np.ndarray) -> np.ndarray:
-    # u = v - alpha e_1 with alpha = -sign(v_1): |u|^2 = 2 (1 + |v_1|), never small
-    u = v.copy()
-    u[0] += math.copysign(1.0, v[0])
-    return u
-
-
-def embed_samples(v: np.ndarray, t: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """x = t v + (Gaussian in the orthogonal complement of v).
-
-    The complement basis comes from the Householder reflector exchanging v
-    with a signed first coordinate axis: deterministic and orthonormal.
-    The reflection is applied as one fused rank-1 update; z supplies the
-    m-1 coordinates orthogonal to the reflector's fixed axis.
-    """
-    u = _householder_vector(v)
-    dot = z @ u[1:]
-    dot *= 2.0 / (u @ u)
-    x = np.multiply.outer(t, v)
-    x -= dot[:, None] * u[None, :]
-    x[:, 1:] += z
+def embed(v: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Set each row's component on the unit vector v to t, in place: x +=
+    (t - x v) v^T.  A standard normal x becomes t v plus a standard
+    Gaussian on the orthogonal complement of v, the part x already had."""
+    x += np.multiply.outer(t - x @ v, v)
     return x
 
 
@@ -139,8 +123,8 @@ def sample_labeled(
     """n draws from the labeled distribution as (X, y) arrays.
 
     Labels first, then the A-projections for the +1 block, the
-    B-projections for the -1 block, then one Gaussian block for the
-    orthogonal complement: a fixed consumption order for reproducibility.
+    B-projections for the -1 block, then one (n, m) normal block that
+    ``embed`` turns into x: a fixed consumption order for reproducibility.
     """
     y = draw_labels(rng, n, instance.p)
     t = np.empty(n)
@@ -150,8 +134,8 @@ def sample_labeled(
         t[pos] = sample(instance.pair.A, rng, n_pos)
     if n - n_pos:
         t[~pos] = sample(instance.pair.B, rng, n - n_pos)
-    z = rng.standard_normal((n, instance.m - 1))
-    return embed_samples(instance.v, t, z), y
+    x = rng.standard_normal((n, instance.m))
+    return embed(instance.v, t, x), y
 
 
 def flip_probability(instance: MassartInstance, x) -> np.ndarray | float:

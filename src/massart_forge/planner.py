@@ -85,11 +85,46 @@ class AsymptoticPlan:
         }
 
 
+_STIRLING_FROM = 16  # below it log binom is summed term by term
+
+
+def _stirling_tail(x: float) -> float:
+    """ln x! - ((x + 1/2) ln x - x + ln sqrt(2 pi)) for x >= 16, from
+    Stirling's series; the first omitted term is below 1.2e-14."""
+    inv = 1.0 / x
+    inv2 = inv * inv
+    return inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0)))
+
+
 def log_binomial(n: int, r: int) -> float:
-    """Natural log of binom(n, r) via log-gamma."""
+    """Natural log of binom(n, r), accurate when r << n.
+
+    With r <= n - r = k the form is
+        r ln(n/r) + k ln(1 + r/k) + (ln n - ln r - ln k - ln 2 pi)/2
+        + tail(n) - tail(r) - tail(k),
+    a sum of terms that do not cancel: the log-gamma difference
+    ln n! - ln k! would lose all of r ln(n/r) once n ln n outgrows it by
+    2^53.  Below r = 16 the log is the sum of ln(n - i) less ln r!.
+    """
     if not (0 <= r <= n):
         raise RangeError(f"need 0 <= r <= n, got n = {n}, r = {r}")
-    return math.lgamma(n + 1.0) - math.lgamma(r + 1.0) - math.lgamma(n - r + 1.0)
+    r = min(r, n - r)
+    if r < _STIRLING_FROM:
+        return math.fsum(math.log(n - i) for i in range(r)) - math.lgamma(r + 1.0)
+    k = n - r
+    return (
+        r * math.log(n / r)
+        + k * math.log1p(r / k)
+        + 0.5 * (math.log(n) - math.log(r) - math.log(k) - math.log(2.0 * math.pi))
+        + _stirling_tail(n) - _stirling_tail(r) - _stirling_tail(k)
+    )
+
+
+def _ceil_finite(name: str, value: float, flag: str) -> int:
+    """ceil(value), refusing a schedule value that overflowed a float."""
+    if not math.isfinite(value):
+        raise RangeError(f"{name} overflows a float; lower {flag} or --log-M")
+    return math.ceil(value)
 
 
 def plan(M_log: float, eta: float, zeta: float, constants: Constants = Constants()) -> AsymptoticPlan:
@@ -124,8 +159,14 @@ def plan(M_log: float, eta: float, zeta: float, constants: Constants = Constants
         )
     loglog1tau = math.log(log1tau)
 
-    m = math.ceil(constants.C_m * log1tau * log1z**4)
-    d = math.ceil(constants.C_d * math.sqrt(log1z * log1tau * loglog1tau))
+    m = _ceil_finite(
+        "m = C_m log(1/tau) log(1/zeta)^4", constants.C_m * log1tau * log1z**4, "--C-m"
+    )
+    d = _ceil_finite(
+        "d = C_d sqrt(log(1/zeta) log(1/tau) log log(1/tau))",
+        constants.C_d * math.sqrt(log1z * log1tau * loglog1tau),
+        "--C-d",
+    )
     if d < 2:
         raise InfeasiblePlanError("d >= 2", f"schedule produced d = {d}")
 
@@ -147,6 +188,8 @@ def plan(M_log: float, eta: float, zeta: float, constants: Constants = Constants
         )
 
     c = 1.0 / (144.0 * log1z**2)
+    if not math.isfinite(m + 8.0 * d):
+        raise RangeError(f"m + 8d = {m:.6g} + 8 * {d:.6g} overflows a float; lower --C-m or --C-d")
     M_prime_log = log_binomial(m + 8 * d, 8 * d)
     if M_prime_log > M_log:
         raise InfeasiblePlanError(

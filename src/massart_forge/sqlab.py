@@ -74,6 +74,7 @@ from .hardpair import sample as hp_sample
 from .instance import (
     MassartInstance,
     draw_labels,
+    embed,
     make_instance,
     random_unit_vector,
     sample_labeled,
@@ -121,12 +122,11 @@ class SQQuery:
 
     Every query reads x only through its projections T onto the rows of
     ``directions`` (no rows for a query that ignores x); a query that needs
-    all of x uses the identity, for which T = x.  The oracle therefore only
-    ever samples the joint law of (T, y), which is distributionally
-    identical to sampling full examples and projecting them.  ``g`` returns
-    an (r, n) block, one row per statistic and r = len(descriptions), or a
-    length-n vector when r = 1; it must be a new float array, which
-    ``evaluate`` clips in place.
+    all of x uses the identity, for which T = x.  The oracle draws full
+    examples (labels alone when no query has rows) and hands each query
+    only (T, y).  ``g`` returns an (r, n) block, one row per statistic and
+    r = len(descriptions), or a length-n vector when r = 1; it must be a
+    new float array, which ``evaluate`` clips in place.
 
     ``exact`` optionally computes the r true expectations for a given
     distribution object; queries without them fall back to certified Monte
@@ -200,7 +200,6 @@ class NullDistribution:
     and adds only the draw of <v, x>; ``v is None`` marks the null."""
 
     v = None
-    _root_memo = (None, None)  # (key, factor), swapped as one object
 
     def __init__(self, m: int, p: float):
         self.m = m
@@ -211,36 +210,18 @@ class NullDistribution:
         return self.sample_projected(rng, n, np.eye(self.m))
 
     def sample_projected(self, rng: np.random.Generator, n: int, directions: np.ndarray):
-        """Joint law of (<u_j, x>)_j and y without materialising x: labels,
-        then the hidden projection t, then one (n, k) normal block for the
-        Gaussian part, whose covariance is U U^T - (U v)(U v)^T (U U^T for
-        the null); <u, x> = t <u, v> + that part.  With no directions only
-        the labels are drawn."""
+        """(<u_j, x>)_j and y for n draws: labels, then the hidden projection
+        t (planted only), then one (n, m) normal block that ``embed`` turns
+        into x, projected onto the rows of ``directions``.  With no
+        directions only the labels are drawn."""
         y = draw_labels(rng, n, self.p)
-        k = len(directions)
-        if k == 0:
+        if len(directions) == 0:
             return np.empty((n, 0)), y
         t = None if self.v is None else self._hidden(rng, y)
-        out = rng.standard_normal((n, k)) @ self._root(directions).T
+        x = rng.standard_normal((n, self.m))
         if t is not None:
-            out += np.multiply.outer(t, directions @ self.v)  # one (n, k) buffer
-        return out, y
-
-    def _root(self, directions: np.ndarray) -> np.ndarray:
-        """Symmetric factor L with L L^T = the covariance (exact zeros stay
-        zero), memoised for one direction array, which a batch's chunks
-        share; the key holds the array's bytes."""
-        key = (directions.shape, directions.tobytes())
-        memo_key, root = self._root_memo
-        if memo_key != key:
-            sigma = directions @ directions.T
-            if self.v is not None:
-                uv = directions @ self.v
-                sigma -= np.outer(uv, uv)
-            vals, vecs = np.linalg.eigh(sigma)
-            root = vecs * np.sqrt(np.maximum(vals, 0.0))[None, :]
-            self._root_memo = (key, root)
-        return root
+            embed(self.v, t, x)
+        return x @ directions.T, y
 
     def true_expectation(self, query: SQQuery) -> Sequence[float] | None:
         return query.exact(self) if query.exact is not None else None
@@ -380,11 +361,13 @@ class SQOracle:
         together in chunks small enough that no sampled or evaluated block
         exceeds 2^19 values; each query reads its own contiguous slice of
         the sampled columns, and each statistic's row sums as one vector.
+        A draw with directions materialises all m coordinates of x.
         """
         stacked = [query.directions for query in queries if len(query.directions)]
         directions = np.vstack(stacked) if stacked else _NO_DIRECTIONS
         widths = [len(query.descriptions) for query in queries]
-        rows_per_chunk = (1 << 19) // max(len(directions), *widths)
+        drawn = max(len(directions), self.distribution.m) if stacked else 0
+        rows_per_chunk = (1 << 19) // max(drawn, *widths)
         sums = np.zeros((1 + squares, sum(widths)))
         remaining = n
         while remaining > 0:

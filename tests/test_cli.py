@@ -296,6 +296,11 @@ def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pa
         # plan squares log M, which overflows past sqrt(largest float)
         (["plan", "--log-M", "1.7e308", "--zeta", "0.1", "--eta", "0.49"], "--log-M"),
         (["plan", "--log-M", "1.35e154", "--zeta-exp", "1e-300", "--eta", "0.49"], "--log-M"),
+        # a schedule constant large enough that m or m + 8d overflows a float
+        (["plan", "--log-M", "1e4", "--zeta-exp", "0.5", "--eta", "0.49", "--C-m", "1e300"],
+         "--C-m"),
+        (["plan", "--log-M", "1e20", "--zeta-exp", "0.1", "--eta", "0.49", "--C-d", "1e290"],
+         "--C-d"),
     ],
 )
 def test_bad_count_exits_2_before_output(tmp_path, capsys, argv, flag):

@@ -80,7 +80,7 @@ def _comb_moment_mp(delta, eps, t, n_max):
 )
 def test_comb_moments_match_oracle(delta, eps):
     n_max = math.ceil(14.0 / delta)
-    got = dd.comb_gaussian_moments(delta, eps, 8, n_max)
+    got = dd.comb_gaussian_moments(delta, eps, 8)
     for t in (0, 2, 4, 8):
         want = _comb_moment_mp(delta, eps, t, n_max)
         # returned values are collapsed to one double: half-ulp tolerance
@@ -90,7 +90,7 @@ def test_comb_moments_match_oracle(delta, eps):
 @pytest.mark.parametrize("delta,eps", [(0.3, 0.03), (0.69234, 0.05)])
 def test_comb_discrepancies_match_oracle(delta, eps):
     n_max = math.ceil(14.0 / delta)
-    got = dd.comb_moment_discrepancies(delta, eps, 8, n_max)
+    got = dd.comb_moment_discrepancies(delta, eps, 8)
     for t in (0, 2, 8):
         want = abs(
             _comb_moment_mp(delta, eps, t, n_max) - dd._double_factorial(t - 1)

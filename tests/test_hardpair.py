@@ -5,7 +5,6 @@ import pytest
 
 from massart_forge import hardpair, moments
 from massart_forge.errors import (
-    ConfigValidationError,
     DeltaBoundError,
     DimensionBoundError,
     EpsilonBoundError,
@@ -42,8 +41,6 @@ def test_config_validation_errors():
         HardPairConfig(zeta=0.05, d=6, epsilon=0.05)
     with pytest.raises(DimensionBoundError):
         HardPairConfig(zeta=0.05, d=1, epsilon=0.05)
-    with pytest.raises(ConfigValidationError):
-        HardPairConfig(zeta=0.05, d=10, epsilon=0.05, n_max=5)  # n_max*delta < 10
 
 
 def test_density_pointwise(desk_pair, desk_config):

@@ -162,14 +162,14 @@ def test_sample_null(rng):
 
 
 def test_embedding_is_orthonormal(rng):
-    for m in (2, 3, 17):
+    # embed sets x.v = t up to rounding and keeps z's component on v-perp
+    for m in (1, 2, 3, 17):
         v = inst.random_unit_vector(m, rng)
-        t = rng.standard_normal(50)
-        z = rng.standard_normal((50, m - 1))
-        x = inst.embed_samples(v, t, z)
-        assert np.allclose(x @ v, t, atol=1e-12)
-        assert np.allclose(
-            np.linalg.norm(x - np.outer(t, v), axis=1),
-            np.linalg.norm(z, axis=1),
-            atol=1e-10,
-        )
+        t = rng.standard_normal(50) * 10.0 ** rng.uniform(-3.0, 3.0, 50)
+        z = rng.standard_normal((50, m))
+        x = z.copy()
+        assert inst.embed(v, t, x) is x  # in place
+        tol = 1e-12 * (1.0 + np.abs(t))
+        assert np.all(np.abs(x @ v - t) <= tol)
+        perp = np.eye(m) - np.outer(v, v)
+        assert np.all(np.abs(x @ perp - z @ perp) <= tol[:, None])

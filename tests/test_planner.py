@@ -33,6 +33,30 @@ def test_log_binomial_matches_big_integers(n, data):
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize(
+    "n, r",
+    [(14 * 10**45 + 15 * 10**28, 15 * 10**28), (10**18, 16), (10**18, 10**9), (10**6, 15)],
+    ids=["plan-1e30", "stirling-edge", "mid", "summed"],
+)
+def test_log_binomial_keeps_small_r_against_huge_n(n, r):
+    # ln n! - ln (n-r)! cancels to 0 in doubles at the first case, whose
+    # true value r ln(n/r) + ... is about 6e30
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        want = float(
+            mpmath.loggamma(n + 1) - mpmath.loggamma(r + 1) - mpmath.loggamma(n - r + 1)
+        )
+    got = planner.log_binomial(n, r)
+    assert abs(got - want) <= 1e-13 * abs(want)
+    assert planner.log_binomial(n, n - r) == got
+
+
+def test_plan_refuses_an_embedding_past_log_m():
+    # log binom(m + 8d, 8d) is about 6.1e30 here; a cancelled log read 0
+    with pytest.raises(InfeasiblePlanError, match="M_prime_log"):
+        planner.plan(1e30, 0.49, 0.1)
+
+
 @pytest.mark.parametrize("log_m", [1e3, 1e4, 1e5])
 def test_plan_feasible_at_desk_scales(log_m):
     zeta = math.exp(-math.sqrt(log_m))

@@ -7,7 +7,13 @@ import pytest
 from massart_forge import hardpair, moments, sqlab
 from massart_forge.errors import DirectionSetError, QueryBudgetError, RangeError
 from massart_forge.hardpair import HardPairConfig, IntervalUnion, build_hard_pair, phi_mass
-from massart_forge.instance import draw_labels, make_instance, ptf_sign, sample_labeled
+from massart_forge.instance import (
+    draw_labels,
+    make_instance,
+    ptf_sign,
+    random_unit_vector,
+    sample_labeled,
+)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +161,7 @@ def test_single_query_is_a_batch_of_one(planted):
         if len(query.directions):
             [reference], n0, n = _two_stage_reference(
                 dist, np.random.default_rng(3), query.directions,
-                lambda t, y: [query.evaluate(t, y)], 1, config.tau, 1 << 19,
+                lambda t, y: [query.evaluate(t, y)], 1, config.tau, (1 << 19) // instance.m,
             )
             assert n0 + n < 160_000  # Hoeffding's rows for one statistic
         else:
@@ -319,7 +325,12 @@ def test_no_block_exceeds_2_19_values(planted, monkeypatch):
     oracle = sqlab.SQOracle(dist, sqlab.OracleConfig(tau=0.02), np.random.default_rng(1))
     oracle.answer_batch(_mixed_batch(pair, instance, directions))
     sqlab.learner_chow(oracle)
-    assert max(rows * k for rows, k in dist.blocks) <= 1 << 19
+    # a one-row query's pilot alone spans several chunks of full-x draws
+    assert sqlab._pilot_rows(0.005, 2) > (1 << 19) // instance.m
+    narrow = sqlab.SQOracle(dist, sqlab.OracleConfig(tau=0.005), np.random.default_rng(2))
+    narrow.answer_batch([sqlab.projected_moment_query(directions[0], 1, 2)])
+    # a draw with directions holds all m coordinates of x before projecting
+    assert max(rows * max(k, instance.m) for rows, k in dist.blocks if k) <= 1 << 19
     assert max(evaluated) <= 1 << 19
     assert max(evaluated) > 1 << 18  # the 230-column block fills a chunk
 
@@ -421,7 +432,8 @@ def test_moment_orders_are_one_order_queries_on_one_sample(planted):
     alone = [sqlab.projected_moment_query(directions[0], j) for j in (1, 2)]
     want, n0, n = _two_stage_reference(
         dist, np.random.default_rng(9), query.directions,
-        lambda t, y: [one.evaluate(t, y) for one in alone], 2, config.tau, (1 << 19) // 2,
+        lambda t, y: [one.evaluate(t, y) for one in alone], 2, config.tau,
+        (1 << 19) // instance.m,
     )
     assert n0 == sqlab._pilot_rows(config.tau, 2) and n < sqlab._hoeffding_rows(config.tau, 4)
     assert both == want
@@ -492,7 +504,7 @@ def test_adversarial_truths_share_one_certified_batch(planted):
         sqlab.InstanceDistribution(instance), np.random.default_rng(4),
         np.vstack([query.directions for query in queries]),
         lambda t, y: [query.evaluate(t[:, j : j + 1], y) for j, query in enumerate(queries)],
-        2, certify.tau, (1 << 19) // 2,
+        2, certify.tau, (1 << 19) // instance.m,
     )
     assert n0 == sqlab._pilot_rows(certify.tau, 2) > 10 * sqlab._pilot_rows(config.tau, 2)
     assert sum(rows for rows, _ in dist.blocks) == n0 + n
@@ -572,8 +584,9 @@ def test_projected_sampler_matches_full_by_shape(planted, law, shape):
 
 @pytest.mark.parametrize("law", ["planted", "null"])
 def test_one_sampler_draw_order(planted, law):
-    # labels, then the hidden projection (planted only), then one normal
-    # block; the two laws differ only in that draw and the covariance on v-perp
+    # labels, then the hidden projection (planted only), then one (n, m)
+    # normal block whose component on v is replaced by it; the two laws
+    # differ only in that draw
     pair, instance, directions = planted
     if law == "planted":
         dist = sqlab.InstanceDistribution(instance)
@@ -584,19 +597,29 @@ def test_one_sampler_draw_order(planted, law):
 
     rng = np.random.default_rng(8)
     y = np.where(rng.random(n) < instance.p, 1, -1)
-    sigma = u @ u.T
     if law == "planted":
         pos = y == 1
         t = np.empty(n)
         t[pos] = hardpair.sample(pair.A, rng, int(pos.sum()))
         t[~pos] = hardpair.sample(pair.B, rng, int((~pos).sum()))
-        sigma -= np.outer(u @ instance.v, u @ instance.v)
-    vals, vecs = np.linalg.eigh(sigma)
-    want = rng.standard_normal((n, 3)) @ (vecs * np.sqrt(np.maximum(vals, 0.0))).T
+    x = rng.standard_normal((n, instance.m))
     if law == "planted":
-        want += np.multiply.outer(t, u @ instance.v)
+        x += np.multiply.outer(t - x @ instance.v, instance.v)
     assert np.array_equal(got_y, y)
-    assert np.array_equal(got_t, want)
+    assert np.array_equal(got_t, x @ u.T)
+
+
+@pytest.mark.parametrize("m", [1, 3, 20])
+def test_identity_projection_is_the_full_draw(planted, m):
+    # the oracle's projected draw onto the identity and the full-x draw
+    # behind gen, verify and the holdout are one stream, bit for bit
+    pair = planted[0]
+    instance = make_instance(pair, random_unit_vector(m, np.random.default_rng(m)), 0.3)
+    dist = sqlab.InstanceDistribution(instance)
+    got_x, got_y = dist.sample_projected(np.random.default_rng(2), 5000, np.eye(m))
+    want_x, want_y = sample_labeled(instance, np.random.default_rng(2), 5000)
+    assert np.array_equal(got_y, want_y)
+    assert np.array_equal(got_x, want_x)
 
 
 def test_planted_indicator_closed_forms(planted):
@@ -801,27 +824,21 @@ def test_chow_batch_is_bitwise_per_column(planted):
 
 @pytest.mark.parametrize("law", ["planted", "null"])
 def test_covariance_factor_built_once_per_batch(planted, monkeypatch, law):
-    # Chow's batch samples many chunks on one identity block: one factor
-    # serves them all, and rows changed in place get a factor of their own
+    # x is drawn whole and projected, so no chunk of Chow's many-chunk
+    # batch factors a covariance
     _, instance, _ = planted
     if law == "planted":
         dist = sqlab.InstanceDistribution(instance)
     else:
         dist = sqlab.NullDistribution(instance.m, instance.p)
-    eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape))
     config = sqlab.OracleConfig(tau=0.02)
     oracle = sqlab.SQOracle(dist, config, np.random.default_rng(3))
     query = sqlab.chow_moment_query(instance.m)
     assert sqlab._pilot_rows(0.02, 230) > (1 << 19) // 230  # several chunks per sample
-    oracle.answer_batch([query])
-    assert calls == [(instance.m, instance.m)]
-    directions = query.directions.copy()
-    dist.sample_projected(np.random.default_rng(4), 10, directions)
-    assert len(calls) == 1
-    directions[0, 1] = 0.5
-    dist.sample_projected(np.random.default_rng(4), 10, directions)
-    assert len(calls) == 2
+    assert len(oracle.answer_batch([query])) == 230
+    assert calls == []
 
 
 def test_learner_chow_realizable(rng):
