@@ -25,11 +25,19 @@ from .hardpair import HardPairConfig, build_hard_pair, density_curve
 from .instance import make_instance, opt_error, random_unit_vector, sample_labeled
 from .moments import K_MAX
 from .planner import Constants, plan
-from .sqlab import DIRECTION_C, LEARNERS, N_PROBES, OracleConfig, distinguishing_experiment
+from .sqlab import (
+    DIRECTION_C,
+    LEARNERS,
+    N_PROBES,
+    SUM_BLOCK,
+    OracleConfig,
+    distinguishing_experiment,
+)
 from .verification import SECTIONS, build_verification_report
 
 RNG_NAME = "numpy default_rng (PCG64)"
-CSV_BLOCK_ROWS = 8192  # rows formatted per write; bounds the text held at once
+CSV_BLOCK_ROWS = 2048  # rows per csv_rows call and write: the fastest of 1024-8192 for gen
+GEN_DRAW_BUDGET = 1 << 30  # bytes: gen draws its (n, m) float64 x at once
 
 
 def thread_cap() -> int:
@@ -130,6 +138,17 @@ def _emit(text: str, path: Path | None) -> list[Path]:
     return [path]
 
 
+def _write_csv(path: Path, header: str, floats: np.ndarray, ints: np.ndarray) -> None:
+    """Write the header line, then the rows of floats (%.17g) and ints (%d)
+    through ``serialize.csv_rows``, CSV_BLOCK_ROWS rows at a time."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
+        for start in range(0, len(floats), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            handle.write(serialize.csv_rows(floats[block], ints[block]))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="massart-forge",
@@ -228,25 +247,20 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    ceiling = GEN_DRAW_BUDGET // (8 * args.m)
+    if args.n > ceiling:
+        raise RangeError(
+            f"--n = {args.n} at --m = {args.m} draws {8 * args.n * args.m} bytes of x; "
+            f"the ceiling at this --m is --n <= {ceiling}, a budget of {GEN_DRAW_BUDGET} bytes"
+        )
     config = HardPairConfig(zeta=args.zeta, d=args.d, epsilon=args.epsilon)
     pair = build_hard_pair(config)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     v = random_unit_vector(args.m, rng)
     instance = make_instance(pair, v, args.eta)
     x, y = sample_labeled(instance, rng, args.n)
-
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    row_format = "%.17g," * args.m + "%d\n"
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(",".join([f"x_{i+1}" for i in range(args.m)] + ["y"]) + "\n")
-        # tolist() per block, not on all of x: the Python floats of a whole
-        # 100 000 x 20 draw would outweigh the array itself several times
-        for start in range(0, len(x), CSV_BLOCK_ROWS):
-            rows = x[start:start + CSV_BLOCK_ROWS].tolist()
-            labels = y[start:start + CSV_BLOCK_ROWS].tolist()
-            handle.write(
-                "".join(row_format % (*row, label) for row, label in zip(rows, labels))
-            )
+    header = ",".join([f"x_{i+1}" for i in range(args.m)] + ["y"])
+    _write_csv(args.out, header, x, y[:, None])
 
     sidecar = {
         "m": args.m,
@@ -294,6 +308,15 @@ def _cmd_experiment(args) -> int:
         raise RangeError(
             f"--m = {args.m} is too small: the Welch bound puts the largest pairwise "
             f"|<u, v>| of {n} directions at >= {welch:.3g} > c = {DIRECTION_C}"
+        )
+    # the widest block SQOracle._sums draws: m coordinates, or Chow's
+    # m + m(m+1)/2 statistics
+    width = args.m * (args.m + 3) // 2 if "chow" in learners else args.m
+    if width > SUM_BLOCK:
+        cap = "m(m+3)/2" if "chow" in learners else "m"
+        raise RangeError(
+            f"--m = {args.m} is too large: {cap} = {width} exceeds the oracle's "
+            f"{SUM_BLOCK}-value block"
         )
     config = HardPairConfig(zeta=args.zeta, d=args.d, epsilon=args.epsilon)
     oracle_config = OracleConfig(tau=args.tau, mode=args.oracle_mode)
@@ -352,13 +375,10 @@ def _cmd_emit_density(args) -> int:
         raise RangeError(f"--hi - --lo = {hi} - {lo} overflows a float")
     pair = build_hard_pair(config)
     x, da, db, j1, j2 = density_curve(pair, args.grid, lo, hi)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("x,density_A,density_B,in_J1,in_J2\n")
-        for row in zip(x, da, db, j1, j2):
-            handle.write(
-                f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{row[3]:d},{row[4]:d}\n"
-            )
+    _write_csv(
+        args.out, "x,density_A,density_B,in_J1,in_J2",
+        np.column_stack([x, da, db]), np.column_stack([j1, j2]),
+    )
     _write_manifest(args, [args.out], True)
     return 0
 

@@ -114,6 +114,7 @@ N_PROBES = 20
 DIRECTION_C = 0.3
 DIRECTION_RESTARTS = 3  # fresh searches after a stalled one, same generator
 MOMENT_ORDERS = (1, 2)
+SUM_BLOCK = 1 << 19  # values per sampled or evaluated block in SQOracle._sums
 
 
 @dataclass(frozen=True)
@@ -359,15 +360,20 @@ class SQOracle:
 
         The queries' direction rows are stacked in order and sampled
         together in chunks small enough that no sampled or evaluated block
-        exceeds 2^19 values; each query reads its own contiguous slice of
-        the sampled columns, and each statistic's row sums as one vector.
+        exceeds SUM_BLOCK values; each query reads its own contiguous slice
+        of the sampled columns, and each statistic's row sums as one vector.
+        A query or draw wider than SUM_BLOCK is an internal fault.
         A draw with directions materialises all m coordinates of x.
         """
         stacked = [query.directions for query in queries if len(query.directions)]
         directions = np.vstack(stacked) if stacked else _NO_DIRECTIONS
         widths = [len(query.descriptions) for query in queries]
         drawn = max(len(directions), self.distribution.m) if stacked else 0
-        rows_per_chunk = (1 << 19) // max(drawn, *widths)
+        rows_per_chunk = SUM_BLOCK // max(drawn, *widths)
+        if not rows_per_chunk:  # callers bound the width first (cli checks --m)
+            raise RuntimeError(
+                f"a block of {max(drawn, *widths)} columns exceeds the {SUM_BLOCK}-value block"
+            )
         sums = np.zeros((1 + squares, sum(widths)))
         remaining = n
         while remaining > 0:

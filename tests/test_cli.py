@@ -393,3 +393,40 @@ def test_out_of_range_flag_exits_2_before_any_work(tmp_path, capsys, monkeypatch
     named = re.compile(re.escape(flag) + r"\b")  # "--seed" must not match "--seeds"
     assert any(named.search(line) for line in capsys.readouterr().err.splitlines())
     assert list(tmp_path.iterdir()) == []
+
+
+def _refuse_work(monkeypatch, *names):
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, work)
+
+
+def test_chow_experiment_refuses_m_past_the_oracle_block(tmp_path, capsys, monkeypatch):
+    # Chow's batch has m(m+3)/2 statistics: 523 250 fit the 2^19-value block
+    # at m = 1022, 524 799 at m = 1023 do not
+    _refuse_work(monkeypatch, "HardPairConfig", "build_hard_pair", "distinguishing_experiment")
+    argv = ["experiment", "--learners", "chow", "--out", tmp_path / "out",
+            "--manifest", tmp_path / "m.json"]
+    assert run(argv + ["--m", "1023"]) == 2
+    err = capsys.readouterr().err
+    assert "--m = 1023" in err and str(cli.SUM_BLOCK) in err
+    assert list(tmp_path.iterdir()) == []
+    assert run(argv + ["--m", "1022"]) == 1  # past the check, into the (refused) work
+    assert "work started" in capsys.readouterr().err
+
+
+def test_gen_refuses_a_draw_past_the_budget(tmp_path, capsys, monkeypatch):
+    _refuse_work(monkeypatch, "HardPairConfig", "build_hard_pair", "sample_labeled")
+    ceiling = cli.GEN_DRAW_BUDGET // (8 * 20)
+    argv = ["gen", "--zeta", "0.05", "--d", "10", "--epsilon", "0.05", "--eta", "0.3",
+            "--m", "20", "--seed", "1", "--out", tmp_path / "x.csv",
+            "--manifest", tmp_path / "m.json"]
+    assert run(argv + ["--n", ceiling + 1]) == 2
+    err = capsys.readouterr().err
+    assert "--n" in err and "--m = 20" in err and str(ceiling) in err
+    assert str(cli.GEN_DRAW_BUDGET) in err
+    assert list(tmp_path.iterdir()) == []
+    assert run(argv + ["--n", ceiling]) == 1  # at the ceiling the draw is allowed
+    assert "work started" in capsys.readouterr().err

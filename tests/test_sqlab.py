@@ -896,3 +896,13 @@ def test_experiment_report_consistency():
     payload = report.to_dict()
     for key in ("nu", "rho", "alpha_chi", "N_bound", "tau", "queries_used", "gaps", "learner_errors"):
         assert key in payload
+
+
+def test_sums_refuse_a_query_wider_than_the_block(monkeypatch):
+    # Chow's 9 statistics at m = 3 against an 8-value block: 0 rows a chunk
+    monkeypatch.setattr(sqlab, "SUM_BLOCK", 8)
+    oracle = sqlab.SQOracle(
+        sqlab.NullDistribution(3, 0.5), sqlab.OracleConfig(tau=0.1), np.random.default_rng(0)
+    )
+    with pytest.raises(RuntimeError, match="9 columns exceeds the 8-value block"):
+        oracle.answer(sqlab.chow_moment_query(3))
