@@ -32,6 +32,7 @@ from .sqlab import (
     SUM_BLOCK,
     OracleConfig,
     distinguishing_experiment,
+    widest_block,
 )
 from .verification import SECTIONS, build_verification_report
 
@@ -309,14 +310,11 @@ def _cmd_experiment(args) -> int:
             f"--m = {args.m} is too small: the Welch bound puts the largest pairwise "
             f"|<u, v>| of {n} directions at >= {welch:.3g} > c = {DIRECTION_C}"
         )
-    # the widest block SQOracle._sums draws: m coordinates, or Chow's
-    # m + m(m+1)/2 statistics
-    width = args.m * (args.m + 3) // 2 if "chow" in learners else args.m
+    width = widest_block(args.m, learners)
     if width > SUM_BLOCK:
-        cap = "m(m+3)/2" if "chow" in learners else "m"
         raise RangeError(
-            f"--m = {args.m} is too large: {cap} = {width} exceeds the oracle's "
-            f"{SUM_BLOCK}-value block"
+            f"--m = {args.m} is too large for --learners {','.join(learners)}: the oracle's "
+            f"widest block holds {width} values, past its {SUM_BLOCK}-value block"
         )
     config = HardPairConfig(zeta=args.zeta, d=args.d, epsilon=args.epsilon)
     oracle_config = OracleConfig(tau=args.tau, mode=args.oracle_mode)

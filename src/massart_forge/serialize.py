@@ -11,9 +11,6 @@ block, byte for byte, without formatting one value at a time.  Python's
 to even, and prints fixed notation when the rounded value's decimal exponent
 k is in [-4, 16], trailing zeros and a bare point stripped.  With a = |x|:
 
-* Integral a < 1e16, ±0 included: the integer's digits, as ``%d`` prints
-  them (17 digits hold every integer below 10^17), with "-" for a set sign
-  bit, so -0.0 prints "-0".  Integer columns take the same route.
 * 1e-4 <= a < 1e16, not integral: k is in [-4, 15] and the digits are
   N = round_half_even(a * 10^(16 - k)), an integer in [10^16, 10^17).
   Step 1 estimates k, step 2 scales exactly, step 3 rounds; each is exact:
@@ -54,19 +51,21 @@ k is in [-4, 16], trailing zeros and a bare point stripped.  With a = |x|:
   10^(k - 16) <= 1e-16 a, away from both integers, so the rounding neither
   drops the fraction nor carries into the integer part: that part is
   trunc(a) and at least one fraction digit is nonzero.
-* Every other value (0 < a < 1e-4, a >= 1e16, nan, inf) is formatted by
-  Python's own ``"%.17g" % v``; a ``gen`` draw of 2.1 M values has about
-  170 of them.
+* Every other value (±0 and the other integral values, 0 < a < 1e-4,
+  a >= 1e16, nan, inf) is formatted by Python's own ``"%.17g" % v``; a
+  ``gen`` draw of 2.1 M values has about 170 of them.
 
 Layout.  Each field is laid out in a fixed-width slot of a uint8 matrix,
 NUL where it has no character: the separator before it ("," or nothing for
 the first column), the sign, the integer part and the point right-aligned,
-then the fraction digits left-aligned with trailing zeros as NUL.  Each
-row's slots are followed by its "\\n".  Digits come four at a time from a
-table of ASCII groups, one copy with trailing zeros as NUL; the separator,
-sign and leading zeros come from small tables indexed by the digit count
-(integers) or k (floats below 10).  Dropping every NUL with one boolean
-mask leaves the rows.
+then the fraction digits left-aligned with trailing zeros as NUL.  An
+integer field is its separator, sign and ``%d`` digits, right-aligned in a
+narrower slot.  Each row's slots are followed by its "\\n".  Digits come
+four at a time from a table of ASCII groups, one copy with trailing zeros
+as NUL; the separator, sign and leading zeros come from small tables
+indexed by the digit count (integers) or k (floats below 10).  Every table
+is built on first use.  Dropping every NUL with one boolean mask leaves the
+rows.
 """
 
 from __future__ import annotations
@@ -136,8 +135,7 @@ _COMMA, _MINUS, _POINT, _ZERO = (ord(ch) for ch in ",-.0")
 @functools.cache
 def _groups() -> np.ndarray:
     """The 4-digit ASCII group of every g < 10^4 as one uint32 of its bytes,
-    then the same groups with trailing zeros as NUL ("0000" all NUL).  Built
-    on first use: commands that write no CSV never run these loops."""
+    then the same groups with trailing zeros as NUL ("0000" all NUL)."""
     g = np.arange(10_000, dtype=np.uint32)
     chars = np.full(g.shape, 0x30303030, "<u4")  # byte i holds digit i of g
     zeros = np.zeros(g.shape, np.intp)  # trailing zero digits
@@ -151,42 +149,53 @@ def _groups() -> np.ndarray:
 
 
 _STRIPPED = 10_000  # offset of the trailing-zeros-stripped groups
-
-# integer heads: _INT_KEEP[d] keeps the last d digit bytes of a 24-byte
-# slot, _INT_MARKS[(2 sep + neg) 21 + d] puts the separator and sign before
-_int_keep = np.zeros((21, _INT_SLOT), np.uint8)
-_int_marks = np.zeros((2, 2, 21, _INT_SLOT), np.uint8)
-for _d in range(1, 21):
-    _int_keep[_d, _INT_SLOT - _d:] = 0xFF
-    _int_marks[:, 1, _d, _INT_SLOT - 1 - _d] = _MINUS
-    _int_marks[1, 0, _d, _INT_SLOT - 1 - _d] = _COMMA
-    _int_marks[1, 1, _d, _INT_SLOT - 2 - _d] = _COMMA
-_INT_KEEP = _int_keep.view(np.uint64)
-_INT_MARKS = _int_marks.view(np.uint64).reshape(-1, _INT_SLOT // 8)
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # digit count by searchsorted
-
-# float heads below 10 as one word, byte 7 left for the first fraction
-# digit; index (2 sep + neg) 14 + case: case k + 4 for k < 0 is "0." and
-# -k - 1 zeros, case 4 + i for k = 0 is "i." (i = 1..9)
-_head = np.zeros((2, 2, 14, 8), np.uint8)
-for _case in range(14):
-    _body = "0." + "0" * (3 - _case) if _case < 4 else f"{_case - 4}."
-    for _sep in (0, 1):
-        for _neg in (0, 1):
-            _text = ("," * _sep + "-" * _neg + _body).encode()
-            _head[_sep, _neg, _case, 7 - len(_text):7] = list(_text)
-_HEAD = _head.view(np.uint64).ravel()
-
-_K = np.arange(_K_LO, _K_HI + 1)
-_SCALE = 10.0 ** (16 - _K)  # exact: 16 - k <= 20 <= 22
-_SCALE_HI = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)
-_SCALE_LO = _SCALE - _SCALE_HI
-# the unit of the integer part in N, and the shift that left-aligns the
-# fraction digits in 17 places; below k = 0 the integer part is 0
-_UNIT = np.array([10 ** (16 - k) if k >= 0 else 0 for k in _K], np.uint64)
-_ALIGN = np.array([10 ** (k + 1) if k >= 0 else 1 for k in _K], np.uint64)
 _TEN4, _TEN8, _TEN16 = np.uint32(10**4), np.uint64(10**8), np.uint64(10**16)
-del _d, _case, _body, _sep, _neg, _text
+
+
+@functools.cache
+def _int_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer heads: keep[d] keeps the last d digit bytes of a 24-byte
+    slot, marks[(2 sep + neg) 21 + d] puts the separator and sign before
+    them; searchsorted in 10^1..10^19 gives the digit count."""
+    keep = np.zeros((21, _INT_SLOT), np.uint8)
+    marks = np.zeros((2, 2, 21, _INT_SLOT), np.uint8)
+    for d in range(1, 21):
+        keep[d, _INT_SLOT - d :] = 0xFF
+        marks[:, 1, d, _INT_SLOT - 1 - d] = _MINUS
+        marks[1, 0, d, _INT_SLOT - 1 - d] = _COMMA
+        marks[1, 1, d, _INT_SLOT - 2 - d] = _COMMA
+    powers = 10 ** np.arange(1, 20, dtype=np.uint64)
+    return keep.view(np.uint64), marks.view(np.uint64).reshape(-1, _INT_SLOT // 8), powers
+
+
+@functools.cache
+def _scales() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10^(16 - k) for k = _K_LO.._K_HI (exact: 16 - k <= 20 <= 22) and its
+    Veltkamp halves."""
+    scale = 10.0 ** (16 - np.arange(_K_LO, _K_HI + 1))
+    scale_hi = _SPLIT * scale - (_SPLIT * scale - scale)
+    return scale, scale_hi, scale - scale_hi
+
+
+@functools.cache
+def _float_heads() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per k = _K_LO.._K_HI: the unit of the integer part in N and the shift
+    that left-aligns the fraction digits in 17 places (below k = 0 the
+    integer part is 0).  Then the float heads below 10 as one word, byte 7
+    left for the first fraction digit; index (2 sep + neg) 14 + case: case
+    k + 4 for k < 0 is "0." and -k - 1 zeros, case 4 + i for k = 0 is "i."
+    (i = 1..9)."""
+    ks = range(_K_LO, _K_HI + 1)
+    unit = np.array([10 ** (16 - k) if k >= 0 else 0 for k in ks], np.uint64)
+    align = np.array([10 ** (k + 1) if k >= 0 else 1 for k in ks], np.uint64)
+    head = np.zeros((2, 2, 14, 8), np.uint8)
+    for case in range(14):
+        body = "0." + "0" * (3 - case) if case < 4 else f"{case - 4}."
+        for sep in (0, 1):
+            for neg in (0, 1):
+                text = ("," * sep + "-" * neg + body).encode()
+                head[sep, neg, case, 7 - len(text) : 7] = list(text)
+    return unit, align, head.view(np.uint64).ravel()
 
 
 def _put_digits(out: np.ndarray, value: np.ndarray, groups: int, strip: bool = False) -> None:
@@ -211,17 +220,18 @@ def _int_text(out: np.ndarray, mag: np.ndarray, neg: np.ndarray, sep: np.ndarray
     """Fill 24-byte slots with "sep sign digits" right-aligned: the decimal
     digits of the uint64 mag, "-" where neg, "," where sep is 1."""
     _put_digits(out[..., 4:], mag, 5)
-    digits = np.searchsorted(_POW10, mag, side="right") + 1
+    keep, marks, powers = _int_tables()
+    digits = np.searchsorted(powers, mag, side="right") + 1
     words = out.view(np.uint64)
-    words &= np.take(_INT_KEEP, digits, axis=0)
-    words |= np.take(_INT_MARKS, digits + 21 * (neg + 2 * sep), axis=0)
+    words &= np.take(keep, digits, axis=0)
+    words |= np.take(marks, digits + 21 * (neg + 2 * sep), axis=0)
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """round_half_even(a * 10^(16 - k)) as int64, by an exact two-product."""
     i = k - _K_LO
-    scale_hi, scale_lo = np.take(_SCALE_HI, i), np.take(_SCALE_LO, i)
-    hi = a * np.take(_SCALE, i)
+    scale, scale_hi, scale_lo = (np.take(table, i) for table in _scales())
+    hi = a * scale
     a_hi = _SPLIT * a
     a_hi -= a_hi - a
     a_lo = a - a_hi
@@ -238,9 +248,9 @@ def _float_fields(out: np.ndarray, x: np.ndarray, sep: np.ndarray) -> None:
     a = np.abs(x)
     neg = np.signbit(x)
     with np.errstate(invalid="ignore"):  # trunc of inf and nan
-        integral = (a < 1e16) & (a == np.trunc(a))
+        integral = a == np.trunc(a)
     frac = (a >= 1e-4) & (a < 1e16) & ~integral
-    other = ~(frac | integral)
+    other = ~frac
     af = a if frac.all() else np.where(frac, a, 1.5)  # the rest is overwritten
 
     k = np.log10(af)
@@ -252,12 +262,13 @@ def _float_fields(out: np.ndarray, x: np.ndarray, sep: np.ndarray) -> None:
             digits[wrong] = _scaled(af[wrong], k[wrong])
 
     i = k - _K_LO
+    unit, align, heads = _float_heads()
     whole = af.astype(np.uint64)  # trunc(a): the rounding never carries into it
-    fraction = (digits.view(np.uint64) - whole * np.take(_UNIT, i)) * np.take(_ALIGN, i)
+    fraction = (digits.view(np.uint64) - whole * np.take(unit, i)) * np.take(align, i)
     first = fraction // _TEN16
     _put_digits(out[..., 24:40], fraction - first * _TEN16, 4, strip=True)
     case = np.minimum(i + whole.view(np.int64), 13)  # k + 4 below 1, 4 + i at k = 0
-    head = np.take(_HEAD, case + 14 * (neg + 2 * sep))
+    head = np.take(heads, case + 14 * (neg + 2 * sep))
     out[..., 16:24].view(np.uint64)[..., 0] = head | (first + _ZERO) << np.uint64(56)
 
     big = frac & (k >= 1)
@@ -267,11 +278,6 @@ def _float_fields(out: np.ndarray, x: np.ndarray, sep: np.ndarray) -> None:
         _int_text(text, whole[rows, cols], neg[rows, cols], sep[cols])
         out[rows, cols, :22] = text[:, 2:]
         out[rows, cols, 22] = _POINT
-    if integral.any():
-        rows, cols = np.nonzero(integral)
-        text = np.zeros((len(rows), _FLOAT_SLOT), np.uint8)
-        _int_text(text[:, :_INT_SLOT], a[rows, cols].astype(np.uint64), neg[rows, cols], sep[cols])
-        out[rows, cols] = text
     if other.any():  # the tested fallback: Python's own %.17g
         rows, cols = np.nonzero(other)
         text = [("," * s + "%.17g" % v).encode() for s, v in zip(sep[cols].tolist(), x[rows, cols].tolist())]

@@ -96,6 +96,7 @@ __all__ = [
     "learner_constant",
     "learner_chow",
     "LEARNERS",
+    "widest_block",
     "ExperimentReport",
     "distinguishing_experiment",
 ]
@@ -114,6 +115,7 @@ N_PROBES = 20
 DIRECTION_C = 0.3
 DIRECTION_RESTARTS = 3  # fresh searches after a stalled one, same generator
 MOMENT_ORDERS = (1, 2)
+CHOW_THRESHOLDS = 9  # threshold candidates learner_chow asks about in one batch
 SUM_BLOCK = 1 << 19  # values per sampled or evaluated block in SQOracle._sums
 
 
@@ -465,6 +467,11 @@ def projected_indicator_query(u: np.ndarray, region: IntervalUnion) -> SQQuery:
     )
 
 
+def chow_statistics(m: int) -> int:
+    """How many statistics ``chow_moment_query(m)`` has: m + m(m+1)/2."""
+    return m + m * (m + 1) // 2
+
+
 def chow_moment_query(m: int) -> SQQuery:
     """The degree-1 and degree-2 Chow parameters as one query over identity
     directions.
@@ -481,7 +488,7 @@ def chow_moment_query(m: int) -> SQQuery:
         c = t.T.copy()  # one contiguous row per coordinate
         np.clip(c, -CLIP_RADIUS, CLIP_RADIUS, out=c)
         c /= CLIP_RADIUS
-        out = np.empty((m + len(upper_i), len(y)))
+        out = np.empty((chow_statistics(m), len(y)))
         np.multiply(y, c, out=out[:m])
         row = m
         for i in range(m):
@@ -612,7 +619,7 @@ def learner_chow(oracle: SQOracle) -> Hypothesis:
         c = np.clip(x, -CLIP_RADIUS, CLIP_RADIUS) / CLIP_RADIUS
         return coeffs[0] + c @ linear + ((c @ quadratic) * c).sum(axis=1)
 
-    thetas = np.linspace(-scale, scale, 9)
+    thetas = np.linspace(-scale, scale, CHOW_THRESHOLDS)
     errors = SQQuery(
         np.eye(m),
         lambda t, y: (np.where(f_values(t) - thetas[:, None] >= 0.0, 1, -1) != y) * 1.0,
@@ -628,6 +635,21 @@ def learner_chow(oracle: SQOracle) -> Hypothesis:
 
 
 LEARNERS = ("constant", "chow")  # names distinguishing_experiment accepts
+
+
+def widest_block(m: int, learners=LEARNERS, n_directions: int = N_PROBES) -> int:
+    """The most columns one SQOracle._sums block holds in a
+    distinguishing_experiment at dimension m.  A batch draws its stacked
+    directions, all m coordinates once it has any, and evaluates each
+    query's statistics.  The battery stacks n_directions + 1 directions and
+    asks at most len(MOMENT_ORDERS) statistics of one; the constant learner
+    asks one, reading no x; Chow's batches read m identity directions and
+    ask chow_statistics(m), then CHOW_THRESHOLDS, statistics."""
+    width = max(m, n_directions + 1, len(MOMENT_ORDERS))
+    if "chow" in learners:
+        width = max(width, chow_statistics(m), CHOW_THRESHOLDS)
+    return width
+
 
 # ------------------------------------------------------- experiment
 

@@ -906,3 +906,11 @@ def test_sums_refuse_a_query_wider_than_the_block(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="9 columns exceeds the 8-value block"):
         oracle.answer(sqlab.chow_moment_query(3))
+
+
+@pytest.mark.parametrize("m", [12, 20])
+def test_widest_block_is_the_widest_query(m):
+    # with Chow, its moment query is the widest block; without, the
+    # battery's stacked directions or the m coordinates of a draw
+    assert sqlab.widest_block(m) == len(sqlab.chow_moment_query(m).descriptions)
+    assert sqlab.widest_block(m, ("constant",)) == max(m, sqlab.N_PROBES + 1)
