@@ -1,7 +1,7 @@
 """Hard-instance constructions for learning halfspaces under Massart noise,
 with exact verification tooling and a simulated statistical-query lab."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .hardpair import (
     HardPair,

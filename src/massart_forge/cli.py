@@ -2,9 +2,7 @@
 
 Every command is a pure function of its flags and the seed, writes exactly
 one JSON run manifest, and exits 0 on success, 1 on internal error or a
-failed verification, 2 on invalid or infeasible input.  The environment
-variable MASSART_FORGE_THREADS caps internal parallelism (experiment seeds
-fan out onto a thread pool; results stay ordered by seed either way).
+failed verification, 2 on invalid or infeasible input.
 """
 
 from __future__ import annotations
@@ -12,9 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -39,22 +35,6 @@ from .verification import SECTIONS, build_verification_report
 RNG_NAME = "numpy default_rng (PCG64)"
 CSV_BLOCK_ROWS = 2048  # rows per csv_rows call and write: the fastest of 1024-8192 for gen
 GEN_DRAW_BUDGET = 1 << 30  # bytes: gen draws its (n, m) float64 x at once
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("MASSART_FORGE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise RangeError(f"MASSART_FORGE_THREADS = {raw!r} must be an integer >= 1")
-    return cap
-
-
-def _require_at_least(flag: str, value: int, least: int) -> None:
-    if value < least:
-        raise RangeError(f"{flag} = {value} must be at least {least}")
 
 
 # every bounded numeric flag, checked on each command that has it before any
@@ -83,16 +63,12 @@ def _dest(flag: str) -> str:
 def _check_bounds(args) -> None:
     for flag, least in _FLOORS.items():
         value = getattr(args, _dest(flag), None)
-        if value is not None:
-            _require_at_least(flag, value, least)
+        if value is not None and value < least:
+            raise RangeError(f"{flag} = {value} must be at least {least}")
     for flag, (interval, ok) in _INTERVALS.items():
         value = getattr(args, _dest(flag), None)
         if value is not None and not ok(value):
             raise RangeError(f"{flag} out of range {interval}, got {value}")
-
-
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _write_manifest(args, outputs, passed) -> None:
@@ -110,8 +86,7 @@ def _write_manifest(args, outputs, passed) -> None:
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "rng": RNG_NAME,
-        "threads": thread_cap(),
-        "timestamp_utc": _utc_now(),
+        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
         "pass": passed,
     }
@@ -319,26 +294,17 @@ def _cmd_experiment(args) -> int:
     config = HardPairConfig(zeta=args.zeta, d=args.d, epsilon=args.epsilon)
     oracle_config = OracleConfig(tau=args.tau, mode=args.oracle_mode)
     seeds = list(range(args.seed, args.seed + args.seeds))
-
-    def run_one(seed: int):
-        return distinguishing_experiment(
-            config, args.eta, args.m, oracle_config, seed, learners=learners
-        )
-
-    workers = min(thread_cap(), len(seeds))
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(run_one, seeds))
-        else:
-            reports = [run_one(s) for s in seeds]
+        reports = [
+            distinguishing_experiment(config, args.eta, args.m, oracle_config, s, learners=learners)
+            for s in seeds
+        ]
     except DirectionSetError as exc:
         raise DirectionSetError(
             f"at --m = {args.m} the search found no {n} directions at pairwise |<u, v>| <= "
             f"c = {DIRECTION_C}, though the Welch bound {welch:.3g} allows them; {exc}"
         ) from exc
 
-    first = reports[0]
     aggregate = {
         "tau": args.tau,
         "seeds": seeds,
@@ -350,12 +316,6 @@ def _cmd_experiment(args) -> int:
         "learner_errors": {
             name: [r.learner_errors[name] for r in reports] for name in learners
         },
-        "nu": first.nu,
-        "rho": first.rho,
-        "alpha_chi": first.alpha_chi,
-        "N_bound": first.N_bound,
-        "c": first.c,
-        "n_bound_caveat": first.N_BOUND_CAVEAT,
         "per_seed": [r.to_dict() for r in reports],
     }
     outputs = _emit(serialize.dumps(aggregate), args.out)
@@ -409,7 +369,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()  # reject a bad MASSART_FORGE_THREADS before any output
         _check_bounds(args)
         if args.command == "plan":
             return _cmd_plan(args)

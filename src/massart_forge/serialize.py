@@ -11,32 +11,28 @@ block, byte for byte, without formatting one value at a time.  Python's
 to even, and prints fixed notation when the rounded value's decimal exponent
 k is in [-4, 16], trailing zeros and a bare point stripped.  With a = |x|:
 
-* 1e-4 <= a < 1e16, not integral: k is in [-4, 15] and the digits are
+* 1e-4 <= a < 10, not integral: k is in [-4, 0] and the digits are
   N = round_half_even(a * 10^(16 - k)), an integer in [10^16, 10^17).
   Step 1 estimates k, step 2 scales exactly, step 3 rounds; each is exact:
 
-  1. k^ = floor(log10 a), clipped to [-4, 15]; where N >= 10^17 it is
+  1. k^ = floor(log10 a), clipped to [-4, 0]; where N >= 10^17 it is
      recomputed at k^ + 1, where N < 10^16 at k^ - 1, once.  Let
-     K = floor(log10 a) exactly.  The rounded exponent k is K + 1 when
-     a >= 10^(K+1) (1 - 5e-18), where the 17 digits round up to a power of
-     ten, and K otherwise.  ``np.log10`` errs by a few ulps, so k^ differs
-     from K only within ~1e-14 (relative) of a power of ten.  If k^ = k - 1,
-     a * 10^(16 - k^) >= 10^17 - 1/2, so N >= 10^17 and k^ + 1 = k.  k^ = k - 2
-     would need a just above 10^K (k^ = K - 1) and just below 10^(K+1)
-     (k = K + 1) at once.  If k^ = k + 1 = K + 1, N < 10^16 unless
-     a >= 10^(K+1) (1 - 5e-17); together with k = K that asks for a double
-     in [10^(K+1) (1 - 5e-17), 10^(K+1) (1 - 5e-18)).  There is none: for
-     K + 1 >= 0, 10^(K+1) is a double and the one below it is at least
-     2^-53 = 1.1e-16 (relative) lower; below 0.1, 0.01 and 0.001 the nearest
-     doubles are 8.3e-17, 1.5e-16 and 1.96e-16 lower, and K + 1 >= -3 since
-     a >= 1e-4.  So an estimate too high never yields N = 10^16 wrongly.
+     K = floor(log10 a) exactly.  k is K: rounding up to 10^(K+1) would
+     need a >= 10^(K+1) (1 - 5e-18), but 10 and 1 are doubles with the one
+     below each at least 2^-53 = 1.1e-16 (relative) lower, and below 0.1,
+     0.01 and 0.001 the nearest doubles are 8.3e-17, 1.5e-16 and 1.96e-16
+     lower.  ``np.log10`` errs by a few ulps, so k^ differs from k only
+     within ~1e-14 (relative) of a power of ten, by one.  If k^ = k - 1,
+     a * 10^(16 - k^) >= 10^17 - 1/2, so N >= 10^17; if k^ = k + 1,
+     N >= 10^16 would need a >= 10^(K+1) (1 - 5e-17), which the same gaps
+     rule out.  Either way the retry lands on k.
   2. hi, lo = two_product(a, 10.0 ** (16 - k)) (Dekker 1971, with
      Veltkamp's split by 2^27 + 1) gives hi + lo = a * 10^(16 - k) exactly.
-     10^e is a double for e <= 22 (5^22 < 2^53), and 16 - k is in [1, 20].
+     10^e is a double for e <= 22 (5^22 < 2^53), and 16 - k is in [16, 20].
      Nothing overflows: the largest intermediate is (2^27 + 1) * 1e20.
      Nothing underflows: the product is exact when the factors' exponents
      sum to at least e_min + 52 = -970 (Boldo 2006), and here a >= 2^-14
-     and the power of ten is at least 10.
+     and the power of ten is at least 1e16.
   3. N = int64(hi) + int64(rint(lo)).  When N is in [10^16, 10^17) the
      exact product is at least 10^16 - 1/2 > 2^53, so hi >= 2^53, where
      doubles are even integers, and |lo| <= ulp(hi)/2 <= 8.  Adding the
@@ -45,27 +41,27 @@ k is in [-4, 16], trailing zeros and a bare point stripped.  With a = |x|:
      ``%.17g``.  A product below 2^53 yields N < 2^53 + 1 < 10^16, which
      still reads "k^ too high" correctly.
 
-  The text is sign, the integer part, the point and the fraction digits,
+  The text is sign, the integer digit, the point and the fraction digits,
   trailing zeros stripped.  Since a is not integral, its fractional part
   is at least ulp(a) >= 1.1e-16 a, more than half the last digit's
   10^(k - 16) <= 1e-16 a, away from both integers, so the rounding neither
-  drops the fraction nor carries into the integer part: that part is
-  trunc(a) and at least one fraction digit is nonzero.
+  drops the fraction nor carries into the integer digit: that digit is
+  trunc(a), 0 below k = 0, and at least one fraction digit is nonzero.
 * Every other value (±0 and the other integral values, 0 < a < 1e-4,
-  a >= 1e16, nan, inf) is formatted by Python's own ``"%.17g" % v``; a
+  a >= 10, nan, inf) is formatted by Python's own ``"%.17g" % v``; a
   ``gen`` draw of 2.1 M values has about 170 of them.
 
 Layout.  Each field is laid out in a fixed-width slot of a uint8 matrix,
 NUL where it has no character: the separator before it ("," or nothing for
-the first column), the sign, the integer part and the point right-aligned,
+the first column), the sign, the integer digit and the point right-aligned,
 then the fraction digits left-aligned with trailing zeros as NUL.  An
 integer field is its separator, sign and ``%d`` digits, right-aligned in a
 narrower slot.  Each row's slots are followed by its "\\n".  Digits come
 four at a time from a table of ASCII groups, one copy with trailing zeros
 as NUL; the separator, sign and leading zeros come from small tables
-indexed by the digit count (integers) or k (floats below 10).  Every table
-is built on first use.  Dropping every NUL with one boolean mask leaves the
-rows.
+indexed by the digit count (integers) or by k and the integer digit
+(floats).  Every table is built on first use.  Dropping every NUL with one
+boolean mask leaves the rows.
 """
 
 from __future__ import annotations
@@ -123,13 +119,14 @@ def dump(obj, path) -> None:
 
 # ---------------------------------------------------------------- CSV rows
 
-_FLOAT_SLOT = 40  # bytes per float field: head (sep, sign, integer part,
-# point, first fraction digit) right-aligned in 0..23, 16 more digits in 24..39
+_FLOAT_SLOT = 32  # bytes per float field: head (sep, sign, integer digit,
+# point, first fraction digit) right-aligned in 0..15, 16 more digits in 16..31;
+# the longest fallback field, ",-1.2345678901234567e-308", takes 25
 _INT_SLOT = 24  # bytes per integer field: sep, sign and <= 20 digits right-aligned
-_K_LO, _K_HI = -4, 15  # decimal exponents of the vectorized float fields
+_K_LO, _K_HI = -4, 0  # decimal exponents of the vectorized float fields
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 
-_COMMA, _MINUS, _POINT, _ZERO = (ord(ch) for ch in ",-.0")
+_COMMA, _MINUS, _ZERO = (ord(ch) for ch in ",-0")
 
 
 @functools.cache
@@ -178,16 +175,10 @@ def _scales() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _float_heads() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per k = _K_LO.._K_HI: the unit of the integer part in N and the shift
-    that left-aligns the fraction digits in 17 places (below k = 0 the
-    integer part is 0).  Then the float heads below 10 as one word, byte 7
-    left for the first fraction digit; index (2 sep + neg) 14 + case: case
-    k + 4 for k < 0 is "0." and -k - 1 zeros, case 4 + i for k = 0 is "i."
-    (i = 1..9)."""
-    ks = range(_K_LO, _K_HI + 1)
-    unit = np.array([10 ** (16 - k) if k >= 0 else 0 for k in ks], np.uint64)
-    align = np.array([10 ** (k + 1) if k >= 0 else 1 for k in ks], np.uint64)
+def _float_heads() -> np.ndarray:
+    """The float heads as one word each, byte 7 left for the first fraction
+    digit; index (2 sep + neg) 14 + case: case k + 4 for k < 0 is "0." and
+    -k - 1 zeros, case 4 + i for k = 0 is "i." (i = 1..9)."""
     head = np.zeros((2, 2, 14, 8), np.uint8)
     for case in range(14):
         body = "0." + "0" * (3 - case) if case < 4 else f"{case - 4}."
@@ -195,7 +186,7 @@ def _float_heads() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             for neg in (0, 1):
                 text = ("," * sep + "-" * neg + body).encode()
                 head[sep, neg, case, 7 - len(text) : 7] = list(text)
-    return unit, align, head.view(np.uint64).ravel()
+    return head.view(np.uint64).ravel()
 
 
 def _put_digits(out: np.ndarray, value: np.ndarray, groups: int, strip: bool = False) -> None:
@@ -249,7 +240,7 @@ def _float_fields(out: np.ndarray, x: np.ndarray, sep: np.ndarray) -> None:
     neg = np.signbit(x)
     with np.errstate(invalid="ignore"):  # trunc of inf and nan
         integral = a == np.trunc(a)
-    frac = (a >= 1e-4) & (a < 1e16) & ~integral
+    frac = (a >= 1e-4) & (a < 10.0) & ~integral
     other = ~frac
     af = a if frac.all() else np.where(frac, a, 1.5)  # the rest is overwritten
 
@@ -261,23 +252,15 @@ def _float_fields(out: np.ndarray, x: np.ndarray, sep: np.ndarray) -> None:
             k[wrong] += step
             digits[wrong] = _scaled(af[wrong], k[wrong])
 
-    i = k - _K_LO
-    unit, align, heads = _float_heads()
-    whole = af.astype(np.uint64)  # trunc(a): the rounding never carries into it
-    fraction = (digits.view(np.uint64) - whole * np.take(unit, i)) * np.take(align, i)
+    whole = af.astype(np.uint64)  # trunc(a), 0 below k = 0
+    fraction = digits.view(np.uint64) - whole * _TEN16
+    np.multiply(fraction, np.uint64(10), out=fraction, where=k == 0)  # left-align 16 digits
     first = fraction // _TEN16
-    _put_digits(out[..., 24:40], fraction - first * _TEN16, 4, strip=True)
-    case = np.minimum(i + whole.view(np.int64), 13)  # k + 4 below 1, 4 + i at k = 0
-    head = np.take(heads, case + 14 * (neg + 2 * sep))
-    out[..., 16:24].view(np.uint64)[..., 0] = head | (first + _ZERO) << np.uint64(56)
+    _put_digits(out[..., 16:32], fraction - first * _TEN16, 4, strip=True)
+    case = k - _K_LO + whole.view(np.int64)  # k + 4 below 1, 4 + i at k = 0
+    head = np.take(_float_heads(), case + 14 * (neg + 2 * sep))
+    out[..., 8:16].view(np.uint64)[..., 0] = head | (first + _ZERO) << np.uint64(56)
 
-    big = frac & (k >= 1)
-    if big.any():  # an integer part of two or more digits: an integer head
-        rows, cols = np.nonzero(big)
-        text = np.zeros((len(rows), _INT_SLOT), np.uint8)
-        _int_text(text, whole[rows, cols], neg[rows, cols], sep[cols])
-        out[rows, cols, :22] = text[:, 2:]
-        out[rows, cols, 22] = _POINT
     if other.any():  # the tested fallback: Python's own %.17g
         rows, cols = np.nonzero(other)
         text = [("," * s + "%.17g" % v).encode() for s, v in zip(sep[cols].tolist(), x[rows, cols].tolist())]

@@ -69,7 +69,7 @@ import numpy as np
 
 from . import moments
 from .errors import DirectionSetError, QueryBudgetError, RangeError
-from .hardpair import HardPair, IntervalUnion, build_hard_pair, mass_in, phi_mass
+from .hardpair import IntervalUnion, build_hard_pair, mass_in, phi_mass
 from .hardpair import sample as hp_sample
 from .instance import (
     MassartInstance,
@@ -663,16 +663,6 @@ class ExperimentReport:
     planted_gap: float
     max_moment_gap: float
     learner_errors: dict[str, float]
-    nu: float
-    rho: float
-    alpha_chi: float
-    N_bound: float
-    c: float
-
-    N_BOUND_CAVEAT = (
-        "N_bound uses the direction-set exponent c^2 m/64 from the explicit "
-        "pair bound; the generic lower bound only promises some Omega(m)."
-    )
 
     def to_dict(self) -> dict:
         return {
@@ -682,26 +672,7 @@ class ExperimentReport:
             "queries": self.query_rows,
             "gaps": {"planted": self.planted_gap, "moment_max": self.max_moment_gap},
             "learner_errors": self.learner_errors,
-            "nu": self.nu,
-            "rho": self.rho,
-            "alpha_chi": self.alpha_chi,
-            "N_bound": self.N_bound,
-            "c": self.c,
-            "n_bound_caveat": self.N_BOUND_CAVEAT,
         }
-
-
-def _diagnostics(pair: HardPair, m: int, k: int = 12) -> tuple[float, float, float, float, float]:
-    report = moments.moment_discrepancy_report(pair, k)
-    nu = max(max(report.discrepancy_A[: k + 1]), max(report.discrepancy_B[: k + 1]))
-    alpha_chi = (
-        moments.chi_square_vs_gaussian(pair.A).closed_form
-        + moments.chi_square_vs_gaussian(pair.B).closed_form
-    )
-    c = 1.0 / (144.0 * math.log(1.0 / pair.config.zeta) ** 2)
-    rho = nu**2 + alpha_chi * c**k
-    n_bound = math.exp(c**2 * m / 64.0) * rho / alpha_chi
-    return nu, rho, alpha_chi, n_bound, c
 
 
 def _statistic_truths(dist, queries: list[SQQuery]) -> list[float | None]:
@@ -720,7 +691,7 @@ def distinguishing_experiment(
     oracle_config: OracleConfig,
     seed: int,
     n_directions: int = N_PROBES,
-    learners: tuple[str, ...] = ("constant", "chow"),
+    learners: tuple[str, ...] = LEARNERS,
     holdout: int = 100_000,
 ) -> ExperimentReport:
     """Run the query battery on the planted and null distributions and
@@ -782,7 +753,6 @@ def distinguishing_experiment(
         hyp = learner_constant(oracle) if name == "constant" else learner_chow(oracle)
         learner_errors[name] = hyp.error(x_hold, y_hold)
 
-    nu, rho, alpha_chi, n_bound, c = _diagnostics(pair, m)
     return ExperimentReport(
         seed=seed,
         tau=oracle_config.tau,
@@ -791,9 +761,4 @@ def distinguishing_experiment(
         planted_gap=planted_gap,
         max_moment_gap=max_moment_gap,
         learner_errors=learner_errors,
-        nu=nu,
-        rho=rho,
-        alpha_chi=alpha_chi,
-        N_bound=n_bound,
-        c=c,
     )

@@ -29,13 +29,14 @@ from .instance import (
 from .lift import check_consistency, enumerate_basis, halfspace_from_ptf
 from .planner import TsybakovParams, tsybakov_to_massart, verify_tsybakov
 
-__all__ = ["SECTIONS", "build_verification_report"]
+__all__ = ["SECTIONS", "binomial_interval", "build_verification_report"]
 
 SECTIONS = ("construction", "moments", "fourier", "chi_square", "massart", "tsybakov", "lift")
 
 # lift checks run at reduced dimensions: the desk construction's polynomial
 # degree 4d+2 at d = 10 would need a basis of ~7e15 monomials
 LIFT_ZETA, LIFT_D, LIFT_EPS, LIFT_M = 0.45, 4, 0.1, 3
+ALPHA = 1e-9  # false-failure rate of each sampled check on correct code
 
 
 def _construction_section(pair, cfg: HardPairConfig) -> dict:
@@ -155,7 +156,38 @@ def _chi_square_section(pair) -> dict:
     return out
 
 
+def _bernoulli_divergence(q: float, p: float) -> float:
+    """D(q || p), the relative entropy of Bernoulli(q) to Bernoulli(p), 0 < p < 1."""
+    return sum(s * math.log(s / r) for s, r in ((q, p), (1.0 - q, 1.0 - p)) if s > 0.0)
+
+
+def binomial_interval(p: float, n: int, alpha: float = ALPHA) -> tuple[float, float]:
+    """[lo, hi] holding the mean of n Bernoulli(p) draws except with
+    probability at most alpha.  By Chernoff the mean is at or beyond q on
+    q's side of p with probability at most exp(-n D(q || p)), so each end
+    is where n D(q || p) reaches ln(2/alpha), or 0 or 1 if it never does.
+    Bisection keeps the side where it is reached: rounding never widens
+    the stated rate."""
+    if p in (0.0, 1.0):
+        return p, p
+    bound = math.log(2.0 / alpha) / n
+    ends = []
+    for outer in (0.0, 1.0):
+        # an outer end where D stays below the bound is the end itself
+        inner = p if _bernoulli_divergence(outer, p) >= bound else outer
+        while (mid := 0.5 * (inner + outer)) not in (inner, outer):
+            if _bernoulli_divergence(mid, p) < bound:
+                inner = mid
+            else:
+                outer = mid
+        ends.append(outer)
+    return tuple(ends)
+
+
 def _massart_section(pair, eta: float, m: int, seed: int) -> dict:
+    """Exact flipping probabilities on a sample, and the Bayes and constant
+    rules' error rates inside their binomial_interval at ALPHA: each count
+    of errors is Binomial(n, opt) or Binomial(n, eta) on correct code."""
     n = 100_000
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     v = random_unit_vector(m, rng)
@@ -168,21 +200,24 @@ def _massart_section(pair, eta: float, m: int, seed: int) -> dict:
 
     bayes_err = float(np.mean(ptf_sign(instance, x) != y))
     const_err = float(np.mean(y == -1))
-    sigma_bayes = math.sqrt(max(opt * (1.0 - opt), 1e-18) / n)
-    sigma_eta = math.sqrt(eta * (1.0 - eta) / n)
+    bayes_lo, bayes_hi = binomial_interval(opt, n)
+    const_lo, const_hi = binomial_interval(eta, n)
 
     out = {
         "eta": eta,
         "m": m,
         "n": n,
+        "alpha": ALPHA,
         "flip_values": sorted(flip_values),
         "flips_exact_ok": flip_values <= {0.0, eta},
         "opt_error": opt,
         "opt_bound_ok": opt <= eta * pair.config.zeta <= pair.config.zeta,
         "bayes_error": bayes_err,
-        "bayes_ok": abs(bayes_err - opt) <= 4.0 * sigma_bayes + 1.0 / n,
+        "bayes_interval": [bayes_lo, bayes_hi],
+        "bayes_ok": bayes_lo <= bayes_err <= bayes_hi,
         "constant_error": const_err,
-        "constant_ok": abs(const_err - eta) <= 4.0 * sigma_eta,
+        "constant_interval": [const_lo, const_hi],
+        "constant_ok": const_lo <= const_err <= const_hi,
     }
     out["pass"] = all(v for k, v in out.items() if k.endswith("_ok"))
     return out

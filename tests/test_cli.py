@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from massart_forge import __version__, cli, moments, verification
 from massart_forge.cli import main
 from massart_forge.errors import MassartForgeError
+from massart_forge.instance import make_instance, sample_labeled
 
 
 def run(argv):
@@ -168,6 +169,45 @@ def test_verify_top_moment_order_passes(tmp_path):
     assert len(section["moments_A"]) == moments.K_MAX + 1
 
 
+def test_verify_passes_a_seed_4_sigma_out(tmp_path):
+    # 30 588 of 100 000 labels are -1 against eta = 0.3 at this seed, 4.06
+    # sigma out; a fixed 4-sigma test failed correct code at ~6e-5 of seeds
+    report_path = tmp_path / "report.json"
+    code = run(["verify", "--seed", "1613159278", "--report", report_path,
+                "--manifest", tmp_path / "m.json"])
+    section = json.loads(report_path.read_text())["massart"]
+    assert section["constant_error"] == 0.30588
+    assert section["constant_ok"] is True
+    assert code == 0
+    assert section["alpha"] == verification.ALPHA
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_massart_section_fails_labels_drawn_off_eta(monkeypatch, desk_pair, seed):
+    # labels drawn at eta + 0.02 are 7 sigma past the interval at eta
+    def off_eta(instance, rng, n):
+        return sample_labeled(make_instance(instance.pair, instance.v, 0.32), rng, n)
+
+    monkeypatch.setattr(verification, "sample_labeled", off_eta)
+    section = verification._massart_section(desk_pair, 0.3, 8, seed)
+    assert section["constant_ok"] is False
+    assert section["pass"] is False
+
+
+def test_binomial_interval_at_the_desk_config(desk_pair):
+    n = 100_000
+    # the Bayes check admits one error in n rows at the desk's opt, not two
+    opt = verification._massart_section(desk_pair, 0.3, 8, 0)["opt_error"]
+    lo, hi = verification.binomial_interval(opt, n)
+    assert lo == 0.0 and 1 / n <= hi < 2 / n
+    # each end is where n D(q || p) first reaches ln(2/alpha)
+    bound = math.log(2.0 / verification.ALPHA)
+    lo, hi = verification.binomial_interval(0.3, n)
+    for q, inner in ((lo, math.nextafter(lo, 1.0)), (hi, math.nextafter(hi, 0.0))):
+        assert n * verification._bernoulli_divergence(q, 0.3) >= bound
+        assert n * verification._bernoulli_divergence(inner, 0.3) < bound
+
+
 def test_experiment_blames_m_only_when_welch_proves_it(tmp_path, capsys):
     # 21 unit vectors in R^7 must overlap by >= 0.316 > 0.3; in R^8 the Welch
     # bound (0.285) allows them, so a failed search is reported as one
@@ -195,6 +235,10 @@ def test_emit_density(tmp_path):
             assert float(da) == 0.0
 
 
+# the unchecked rho / N_bound diagnostics that reports no longer carry
+_REMOVED_DIAGNOSTICS = ("nu", "rho", "alpha_chi", "N_bound", "c", "n_bound_caveat")
+
+
 def test_experiment_single_learner(tmp_path):
     out = tmp_path / "exp.json"
     code = run(["experiment", "--seeds", "1", "--seed", "2", "--m", "20",
@@ -203,33 +247,25 @@ def test_experiment_single_learner(tmp_path):
     report = json.loads(out.read_text())
     assert list(report["learner_errors"].keys()) == ["constant"]
     assert len(report["learner_errors"]["constant"]) == 1
-    for key in ("nu", "rho", "alpha_chi", "N_bound", "tau", "queries_used", "gaps",
-                "learner_errors", "seeds"):
+    for key in ("tau", "queries_used", "gaps", "learner_errors", "seeds", "per_seed"):
         assert key in report
+    for key in _REMOVED_DIAGNOSTICS:  # at neither level
+        assert key not in report
+        assert key not in report["per_seed"][0]
 
 
-def test_thread_cap_leaves_report_unchanged(tmp_path, monkeypatch):
-    # at a cap of 2 the two seeds run on the thread pool; the report has no
-    # run-time field, so its bytes must not depend on the cap
-    reports = []
-    for cap in ("1", "2"):
-        monkeypatch.setenv("MASSART_FORGE_THREADS", cap)
-        out = tmp_path / f"exp_{cap}.json"
-        code = run(["experiment", "--seeds", "2", "--seed", "3", "--learners", "constant",
-                    "--out", out, "--manifest", tmp_path / f"m_{cap}.json"])
+def test_multi_seed_report_is_the_single_seed_runs(tmp_path):
+    # seeds run one after another, each from its own SeedSequence: a two-seed
+    # report's per-seed entries are the one-seed runs, in seed order
+    per_seed = []
+    for seed, count in ((3, 2), (3, 1), (4, 1)):
+        out = tmp_path / f"exp_{seed}_{count}.json"
+        code = run(["experiment", "--seeds", str(count), "--seed", str(seed),
+                    "--learners", "constant", "--out", out,
+                    "--manifest", tmp_path / f"m_{seed}_{count}.json"])
         assert code == 0
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
-
-
-@pytest.mark.parametrize("raw", ["two", "1.5", "0", "-3"])
-def test_bad_thread_cap_exits_2_before_output(tmp_path, monkeypatch, capsys, raw):
-    monkeypatch.setenv("MASSART_FORGE_THREADS", raw)
-    out = tmp_path / "plan.json"
-    code = run(["plan", "--log-M", "1e4", "--zeta-exp", "0.5", "--eta", "0.49", "--out", out])
-    assert code == 2
-    assert "MASSART_FORGE_THREADS" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+        per_seed.append(json.loads(out.read_text())["per_seed"])
+    assert per_seed[0] == per_seed[1] + per_seed[2]
 
 
 def test_moment_section_failure_vs_internal_fault(tmp_path, monkeypatch, desk_pair):

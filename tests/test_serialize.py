@@ -78,11 +78,11 @@ def test_ties_round_to_even():
 
 def test_specials_and_fast_path_edges():
     tiny = 5e-324
-    edges = _neighbours([1e-4, 1e16], 3)
+    edges = _neighbours([1e-4, 10.0, 1e16], 3)
     _check(np.concatenate([
         [0.0, -0.0, tiny, -tiny, sys.float_info.min, sys.float_info.max,
          -sys.float_info.max, math.nan, math.inf, -math.inf, 1.0, 100.0, 2.0**53, 2.0**52 + 0.5,
-         9999999999999998.0, 0.5, 123.25, 1e15 + 0.125],
+         9999999999999998.0, 0.5, 9.5, 10.5, 123.25, 1e15 + 0.125],
         edges,
     ]))
 
@@ -111,11 +111,12 @@ def test_write_csv_blocks_rows_whatever_n(tmp_path):
 
 
 def test_no_double_lies_in_the_too_high_estimate_window():
-    """The docstring's step-1 case: below 10^e (e = -1, -2, -3) the nearest
-    double is more than 5e-17 lower (relative), so a k estimate one too high
-    cannot round a to 10^16 at that exponent."""
-    for e in (-1, -2, -3):
-        power = Fraction(1, 10**-e)
+    """The docstring's step-1 case: below 10^e (e = 1, 0, -1, -2, -3) the
+    nearest double is more than 5e-17 lower (relative), so no value below
+    10 rounds up to 10 at 17 digits (k stays <= 0), and a k estimate one
+    too high cannot round a to 10^16 at that exponent."""
+    for e in (1, 0, -1, -2, -3):
+        power = Fraction(10) ** e
         below = float(power)
         if Fraction(below) >= power:
             below = math.nextafter(below, 0.0)

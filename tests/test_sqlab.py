@@ -881,21 +881,12 @@ def test_experiment_report_consistency():
         config, eta=0.3, m=8, oracle_config=oracle_config, seed=3,
         n_directions=4, learners=("constant",), holdout=20_000,
     )
-    pair = build_hard_pair(config)
-    want_alpha = (
-        moments.chi_square_vs_gaussian(pair.A).closed_form
-        + moments.chi_square_vs_gaussian(pair.B).closed_form
-    )
-    assert abs(report.alpha_chi - want_alpha) <= 1e-8
-    assert report.c == pytest.approx(1.0 / (144.0 * math.log(20.0) ** 2))
-    assert report.rho == pytest.approx(report.nu**2 + report.alpha_chi * report.c**12)
-    assert report.N_bound == pytest.approx(
-        math.exp(report.c**2 * 8 / 64.0) * report.rho / report.alpha_chi
-    )
     assert report.queries_used == len(report.query_rows) * 2
     payload = report.to_dict()
-    for key in ("nu", "rho", "alpha_chi", "N_bound", "tau", "queries_used", "gaps", "learner_errors"):
+    for key in ("tau", "queries_used", "gaps", "learner_errors"):
         assert key in payload
+    for key in ("nu", "rho", "alpha_chi", "N_bound", "c", "n_bound_caveat"):
+        assert key not in payload
 
 
 def test_sums_refuse_a_query_wider_than_the_block(monkeypatch):

@@ -1,6 +1,7 @@
 """The package runs on numpy alone: no command imports scipy.  Phi is
 hardpair's own rational approximation and verify's quadratures are numpy's
-Gauss-Legendre, so a short command pays only for importing numpy."""
+Gauss-Legendre, so a short command pays only for importing numpy.  Every
+command runs in one thread, so none loads concurrent.futures either."""
 
 import json
 import os
@@ -16,8 +17,9 @@ _SCRIPT = """
 import json, sys
 import massart_forge.cli as cli
 code = cli.main(json.loads(sys.argv[1]))
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-print(json.dumps({"code": code, "scipy": loaded}))
+def loaded(package):
+    return sorted(name for name in sys.modules if name.split(".")[0] == package)
+print(json.dumps({"code": code, "scipy": loaded("scipy"), "concurrent": loaded("concurrent")}))
 """
 
 _COMMANDS = {
@@ -38,6 +40,6 @@ def test_command_loads_no_scipy(tmp_path, command):
         env=env, capture_output=True, text=True, check=True,
     )
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"code": 0, "scipy": []}
+    assert result == {"code": 0, "scipy": [], "concurrent": []}
     if command == "verify":
         assert json.loads((tmp_path / "report.json").read_text())["pass"] is True
