@@ -37,6 +37,11 @@ CSV_BLOCK_ROWS = 2048  # rows per csv_rows call and write: the fastest of 1024-8
 GEN_DRAW_BUDGET = 1 << 30  # bytes: gen draws its (n, m) float64 x at once
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise RangeError(f"{flag} = {value} must be at least {least}")
+
+
 # every bounded numeric flag, checked on each command that has it before any
 # work, so bad input exits 2 naming the flag and writes nothing; the coupled
 # constraints delta < 1 and epsilon < delta/8 stay with HardPairConfig
@@ -63,12 +68,16 @@ def _dest(flag: str) -> str:
 def _check_bounds(args) -> None:
     for flag, least in _FLOORS.items():
         value = getattr(args, _dest(flag), None)
-        if value is not None and value < least:
-            raise RangeError(f"{flag} = {value} must be at least {least}")
+        if value is not None:
+            _require_at_least(flag, value, least)
     for flag, (interval, ok) in _INTERVALS.items():
         value = getattr(args, _dest(flag), None)
         if value is not None and not ok(value):
             raise RangeError(f"{flag} out of range {interval}, got {value}")
+
+
+def _utc_now() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _write_manifest(args, outputs, passed) -> None:
@@ -86,7 +95,7 @@ def _write_manifest(args, outputs, passed) -> None:
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "rng": RNG_NAME,
-        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "timestamp_utc": _utc_now(),
         "outputs": [str(p) for p in outputs],
         "pass": passed,
     }

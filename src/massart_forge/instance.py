@@ -33,8 +33,6 @@ __all__ = [
     "random_unit_vector",
 ]
 
-EMBED_ROWS = 4096  # rows per outer-product block in embed: 640 KB at m = 20
-
 
 def build_interval_polynomial(region: IntervalUnion) -> np.ndarray:
     """Coefficients (ascending) of q(t) = prod_i (t - a_i)(t - b_i).
@@ -107,13 +105,8 @@ def random_unit_vector(m: int, rng: np.random.Generator) -> np.ndarray:
 def embed(v: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Set each row's component on the unit vector v to t, in place: x +=
     (t - x v) v^T.  A standard normal x becomes t v plus a standard
-    Gaussian on the orthogonal complement of v, the part x already had.
-    The outer product is added EMBED_ROWS rows at a time, so no temporary
-    the size of x is made; each entry is the same one multiply and add."""
-    s = t - x @ v
-    for start in range(0, len(x), EMBED_ROWS):
-        block = slice(start, start + EMBED_ROWS)
-        x[block] += np.multiply.outer(s[block], v)
+    Gaussian on the orthogonal complement of v, the part x already had."""
+    x += np.multiply.outer(t - x @ v, v)
     return x
 
 

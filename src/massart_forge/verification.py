@@ -165,9 +165,8 @@ def binomial_interval(p: float, n: int, alpha: float = ALPHA) -> tuple[float, fl
     """[lo, hi] holding the mean of n Bernoulli(p) draws except with
     probability at most alpha.  By Chernoff the mean is at or beyond q on
     q's side of p with probability at most exp(-n D(q || p)), so each end
-    is where n D(q || p) reaches ln(2/alpha), or 0 or 1 if it never does.
-    Bisection keeps the side where it is reached: rounding never widens
-    the stated rate."""
+    is where n D(q || p) first reaches ln(2/alpha) (bisection keeps the side
+    that reaches it, so rounding never raises the rate), or 0 or 1."""
     if p in (0.0, 1.0):
         return p, p
     bound = math.log(2.0 / alpha) / n
@@ -185,9 +184,8 @@ def binomial_interval(p: float, n: int, alpha: float = ALPHA) -> tuple[float, fl
 
 
 def _massart_section(pair, eta: float, m: int, seed: int) -> dict:
-    """Exact flipping probabilities on a sample, and the Bayes and constant
-    rules' error rates inside their binomial_interval at ALPHA: each count
-    of errors is Binomial(n, opt) or Binomial(n, eta) on correct code."""
+    """Exact flipping probabilities, and the Bayes (Binomial(n, opt)) and
+    constant (Binomial(n, eta)) error rates inside binomial_interval."""
     n = 100_000
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     v = random_unit_vector(m, rng)
