@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from massart_forge import __version__, cli, moments, verification
 from massart_forge.cli import main
 from massart_forge.errors import MassartForgeError
-from massart_forge.instance import make_instance, sample_labeled
+from massart_forge.instance import make_instance, opt_error, sample_labeled
 
 
 def run(argv):
@@ -197,7 +198,7 @@ def test_massart_section_fails_labels_drawn_off_eta(monkeypatch, desk_pair, seed
 def test_binomial_interval_at_the_desk_config(desk_pair):
     n = 100_000
     # the Bayes check admits one error in n rows at the desk's opt, not two
-    opt = verification._massart_section(desk_pair, 0.3, 8, 0)["opt_error"]
+    opt = opt_error(make_instance(desk_pair, np.eye(8)[0], 0.3))
     lo, hi = verification.binomial_interval(opt, n)
     assert lo == 0.0 and 1 / n <= hi < 2 / n
     # each end is where n D(q || p) first reaches ln(2/alpha)
