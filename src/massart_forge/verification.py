@@ -29,7 +29,7 @@ from .instance import (
 from .lift import check_consistency, enumerate_basis, halfspace_from_ptf
 from .planner import TsybakovParams, tsybakov_to_massart, verify_tsybakov
 
-__all__ = ["SECTIONS", "binomial_interval", "build_verification_report"]
+__all__ = ["SECTIONS", "build_verification_report"]
 
 SECTIONS = ("construction", "moments", "fourier", "chi_square", "massart", "tsybakov", "lift")
 
@@ -161,15 +161,15 @@ def _bernoulli_divergence(q: float, p: float) -> float:
     return sum(s * math.log(s / r) for s, r in ((q, p), (1.0 - q, 1.0 - p)) if s > 0.0)
 
 
-def binomial_interval(p: float, n: int, alpha: float = ALPHA) -> tuple[float, float]:
+def binomial_interval(p: float, n: int) -> tuple[float, float]:
     """[lo, hi] holding the mean of n Bernoulli(p) draws except with
-    probability at most alpha.  By Chernoff the mean is at or beyond q on
+    probability at most ALPHA.  By Chernoff the mean is at or beyond q on
     q's side of p with probability at most exp(-n D(q || p)), so each end
-    is where n D(q || p) first reaches ln(2/alpha) (bisection keeps the side
+    is where n D(q || p) first reaches ln(2/ALPHA) (bisection keeps the side
     that reaches it, so rounding never raises the rate), or 0 or 1."""
     if p in (0.0, 1.0):
         return p, p
-    bound = math.log(2.0 / alpha) / n
+    bound = math.log(2.0 / ALPHA) / n
     ends = []
     for outer in (0.0, 1.0):
         # an outer end where D stays below the bound is the end itself
